@@ -55,7 +55,7 @@ fn emit_failure_report(failures: &[Failure], total: &ChaosReport) {
 fn run_repro(spec: &CellSpec) -> i32 {
     let w = spec.workload(harness_scale());
     println!("chaoslint: re-running cell {spec}");
-    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, spec.seed, spec.delay);
+    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, spec.seed);
     let report = match res {
         Ok(r) => r,
         Err(e) => {
@@ -73,7 +73,7 @@ fn run_repro(spec: &CellSpec) -> i32 {
         "cell passed: {} injections, {} healed, {} undetected",
         report.injections, report.healed, report.undetected
     );
-    match chaos_replay(&w, spec.form, spec.chain, &log, spec.delay) {
+    match chaos_replay(&w, spec.form, spec.chain, &log) {
         Ok(replayed) if replayed == report => {
             println!("record/replay verified: replayed tally identical");
             0
@@ -104,7 +104,7 @@ fn main() {
                         std::process::exit(2);
                     }
                     None => {
-                        eprintln!("chaoslint: --repro needs workload:form:chain:seed[:dDELAY]");
+                        eprintln!("chaoslint: --repro needs workload:form:chain:seed");
                         std::process::exit(2);
                     }
                 }
@@ -121,9 +121,7 @@ fn main() {
             }
             other => {
                 eprintln!("chaoslint: unknown argument {other:?}");
-                eprintln!(
-                    "usage: chaoslint [--seed <n>] [--repro workload:form:chain:seed[:dDELAY]]"
-                );
+                eprintln!("usage: chaoslint [--seed <n>] [--repro workload:form:chain:seed]");
                 std::process::exit(2);
             }
         }
@@ -157,9 +155,8 @@ fn main() {
                         form,
                         chain,
                         seed,
-                        delay: None,
                     };
-                    match chaos_cell_recorded(w, form, chain, seed, None).0 {
+                    match chaos_cell_recorded(w, form, chain, seed).0 {
                         Ok(report) => cell_total.merge(&report),
                         Err(error) => failures.push(Failure { cell: spec, error }),
                     }
@@ -178,48 +175,10 @@ fn main() {
         }
     }
 
-    // Delayed-install cells: translations park for a seed-varied number of
-    // retired instructions before their safe-point install, and the
-    // injection mix adds staged-translation drops — late, dropped and
-    // after-demotion installs must all contain cleanly.
-    for w in &suite {
-        for &form in &forms {
-            let chain = ChainPolicy::SwPredDualRas;
-            let mut cell_total = ChaosReport::default();
-            for s in 0..seeds {
-                cell_index += 1;
-                let seed = seed_override.unwrap_or(cell_index * 1000 + s);
-                let delay = Some(64 + (seed % 7) * 37);
-                let spec = CellSpec {
-                    workload: w.name.to_string(),
-                    form,
-                    chain,
-                    seed,
-                    delay,
-                };
-                match chaos_cell_recorded(w, form, chain, seed, delay).0 {
-                    Ok(report) => cell_total.merge(&report),
-                    Err(error) => failures.push(Failure { cell: spec, error }),
-                }
-            }
-            total.merge(&cell_total);
-            println!(
-                "{:<10} {:>8} {:<14} {:>4} injected  {:>3} healed  {:>2} undetected  ({} staged drops)",
-                w.name,
-                format!("{form:?}").to_lowercase(),
-                "delayed",
-                cell_total.injections,
-                cell_total.healed,
-                cell_total.undetected,
-                cell_total.staged_drops,
-            );
-        }
-    }
-
     println!(
         "\nchaoslint: {} injections ({} link-clear, {} link-poison, \
-         {} target-poison, {} vpc, {} epoch-flip, {} code-write, \
-         {} staged-drop), {} fragments healed, {} undetected, \
+         {} target-poison, {} vpc, {} epoch-flip, {} code-write), \
+         {} fragments healed, {} undetected, \
          {} divergences",
         total.injections,
         total.link_clears,
@@ -228,7 +187,6 @@ fn main() {
         total.vpc_corruptions,
         total.epoch_flips,
         total.code_writes,
-        total.staged_drops,
         total.healed,
         total.undetected,
         failures.len(),

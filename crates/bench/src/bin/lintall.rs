@@ -1,7 +1,7 @@
 //! `lintall` — runs the whole lint family and aggregates exit status.
 //!
 //! Invokes the sibling `vlint`, `chaoslint`, `replaylint`, `flowlint`,
-//! `storelint`, `poollint`, and `regionlint` binaries (from this executable's own
+//! `storelint`, and `regionlint` binaries (from this executable's own
 //! directory, so a release build drives release lints) and exits
 //! non-zero if any of them fails. Each tool reports failures in the shared JSON schema
 //! documented in `ildp_bench::lint`.
@@ -12,13 +12,12 @@
 use std::process::Command;
 
 /// The lint family, in execution order.
-const TOOLS: [&str; 7] = [
+const TOOLS: [&str; 6] = [
     "vlint",
     "chaoslint",
     "replaylint",
     "flowlint",
     "storelint",
-    "poollint",
     "regionlint",
 ];
 

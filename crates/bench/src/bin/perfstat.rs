@@ -14,17 +14,14 @@
 //!
 //! `--throughput` instead runs the multi-VM harness
 //! ([`ildp_bench::throughput`]): N VMs per (workload × ISA form) cell on
-//! a sweep of OS thread counts with asynchronous translation, plus the
+//! a sweep of OS thread counts, plus the
 //! shared warm-start store section, plus the **cross-process** warm
 //! start: phase 1 pretranslates the whole matrix and saves the store to
 //! disk, phase 2 re-execs this binary cold (`--warm-child <store>`) and
 //! the fresh process must serve its fragments from the file. `--check`
 //! additionally enforces the warm-start gates (nonzero reuse ≥ 90%, zero
 //! retranslations, zero reverifications — in-process *and* across the
-//! exec boundary) plus the clean-path pool-health gate (zero pool
-//! timeouts and zero backpressure sheds: with no fault injection the
-//! supervised pool must absorb every submission) and exits non-zero on
-//! violation.
+//! exec boundary) and exits non-zero on violation.
 //!
 //! Both JSON schemas are documented in `crates/bench/src/report.rs`.
 //!
@@ -85,10 +82,6 @@ fn run_workload(w: &spec_workloads::Workload, reps: u32) -> Row {
             ..Translator::default()
         },
         validator: Some(collecting_validator),
-        // The collecting validator files violations thread-locally, and
-        // the single-VM trajectory numbers should isolate engine speed
-        // from pipeline timing; `--throughput` measures async mode.
-        async_translate: false,
         ..VmConfig::default()
     };
     let mut row = Row {
@@ -332,7 +325,6 @@ fn throughput_main(out_path: &str, check: bool) {
     let _ = writeln!(json, "  \"bench\": \"multi_vm_throughput\",");
     let _ = writeln!(json, "  \"scale\": {},", report.scale);
     let _ = writeln!(json, "  \"vms_per_cell\": {},", report.vms);
-    let _ = writeln!(json, "  \"pool_workers\": {},", report.pool_workers);
     let _ = writeln!(
         json,
         "  \"throughput_metric\": \"guest_insts / max per-thread cpu seconds (cpu critical path)\","
@@ -350,9 +342,7 @@ fn throughput_main(out_path: &str, check: bool) {
             "    {{\"threads\": {}, \"runs\": {}, \"guest_insts\": {}, \
              \"guest_insts_per_sec\": {:.0}, \"cpu_critical_path_seconds\": {:.4}, \
              \"cpu_total_seconds\": {:.4}, \"wall_seconds\": {:.4}, \
-             \"translate_stall_seconds\": {:.6}, \"translate_wall_seconds\": {:.6}, \
-             \"async_installs\": {}, \"async_dropped\": {}, \
-             \"pool_timeouts\": {}, \"pool_shed\": {}}}{comma}",
+             \"translate_stall_seconds\": {:.6}, \"translate_wall_seconds\": {:.6}}}{comma}",
             r.threads,
             r.runs,
             r.total_guest_insts,
@@ -362,10 +352,6 @@ fn throughput_main(out_path: &str, check: bool) {
             r.wall_seconds,
             r.translate_stall_seconds,
             r.translate_wall_seconds,
-            r.async_installs,
-            r.async_dropped,
-            r.pool_timeouts,
-            r.pool_shed,
         );
     }
     let _ = writeln!(json, "  ],");
@@ -419,22 +405,6 @@ fn throughput_main(out_path: &str, check: bool) {
 
     if check {
         let mut bad = Vec::new();
-        // Clean-path pool health: with no fault injection, the shared
-        // pool must absorb every submission — a deadline expiry or a
-        // backpressure shed here is a real capacity regression, not a
-        // contained fault.
-        let timeouts: u64 = report.scaling.iter().map(|r| r.pool_timeouts).sum();
-        let shed: u64 = report.scaling.iter().map(|r| r.pool_shed).sum();
-        if timeouts > 0 {
-            bad.push(format!(
-                "{timeouts} pool timeouts on the clean path (want 0)"
-            ));
-        }
-        if shed > 0 {
-            bad.push(format!(
-                "{shed} submissions shed by pool backpressure on the clean path (want 0)"
-            ));
-        }
         if w.warm_hits == 0 {
             bad.push("warm-start hit rate is 0 for a repeated-program run".to_string());
         }

@@ -97,7 +97,7 @@ fn main() {
             }
         };
         let (ok, bad) = reloaded.validate_all();
-        if bad != 0 || ok as usize != reloaded.len() {
+        if bad != 0 || ok != reloaded.len() {
             eprintln!("pretranslate: reload validation: {ok} ok, {bad} bad");
             std::process::exit(1);
         }

@@ -58,9 +58,6 @@ fn run_cell(workload: &Workload, form: IsaForm, chain: ChainPolicy) -> CellResul
             fuse_memory: false,
         },
         validator: Some(ildp_verifier::collecting_full_validator),
-        // The collecting validator files violations thread-locally;
-        // translation must stay on this thread to read them back.
-        async_translate: false,
         ..VmConfig::default()
     };
     config.engine.region_trigger = Some(LINT_TRIGGER);

@@ -1,6 +1,6 @@
 //! `replaylint` — snapshot/restore and record/replay conformance lint.
 //!
-//! Five gates, over the full workload suite:
+//! Four gates, over the full workload suite:
 //!
 //! 1. **snapshot roundtrip** — every workload × both ISA forms runs to a
 //!    mid-run fragment boundary, snapshots (through the wire format), and
@@ -9,24 +9,18 @@
 //!    retired count) of an uninterrupted run, with statistics continuing
 //!    cumulatively across the seam.
 //! 2. **record→replay equality** — one recorded chaos cell per workload
-//!    (plus one delayed-install cell) must replay from its envelope to
-//!    the identical tally.
-//! 3. **async record→scheduled replay** — every workload × both ISA
-//!    forms runs with the background translation pipeline enabled; its
-//!    recorded install/drop events drive a synchronous VM through
-//!    [`Vm::set_install_schedule`], which must reach the bit-identical
-//!    architected state, event log, and statistics (wall-clock nanos
-//!    excepted).
-//! 4. **region record→scheduled replay** — every workload × both ISA
-//!    forms runs again with region re-formation forced hot (a low
-//!    promotion trigger); the recorded event log — now carrying the v4
-//!    [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`]
-//!    count-anchored events — must survive the `ReplayLog` wire format
-//!    and scheduled replay must reproduce the identical architected
-//!    state *and* the identical region-event sequence. The matrix as a
-//!    whole must record at least one region event (a run where no
-//!    promotion fires gates nothing and fails loudly).
-//! 5. **triage bundle roundtrip** — a seeded miscompile must triage to a
+//!    must replay from its envelope to the identical tally.
+//! 3. **region record→replay** — every workload × both ISA forms runs
+//!    with region re-formation forced hot (a low promotion trigger); the
+//!    recorded [`ReplayEvent::RegionPromote`] /
+//!    [`ReplayEvent::RegionDrop`] count-anchored events must survive the
+//!    `ReplayLog` wire format, and a fresh VM re-running the program must
+//!    reproduce the identical architected state (registers, memory
+//!    digest, console output, retired count) *and* the identical
+//!    region-event sequence. The matrix as a whole must record at least
+//!    one region event (a run where no promotion fires gates nothing and
+//!    fails loudly).
+//! 4. **triage bundle roundtrip** — a seeded miscompile must triage to a
 //!    `.repro` bundle that survives its wire format and replays to the
 //!    identical divergence.
 //!
@@ -121,12 +115,12 @@ fn snapshot_roundtrip(w: &Workload, form: IsaForm) -> Result<(), String> {
 }
 
 /// One recorded chaos cell must replay to the identical tally.
-fn record_replay(w: &Workload, seed: u64, delay: Option<u64>) -> Result<(), String> {
+fn record_replay(w: &Workload, seed: u64) -> Result<(), String> {
     let (form, chain) = (IsaForm::Modified, ChainPolicy::SwPredDualRas);
     let cell = format!("{}:{}:{}:{}", w.name, form_name(form), chain.label(), seed);
-    let (res, log) = chaos_cell_recorded(w, form, chain, seed, delay);
+    let (res, log) = chaos_cell_recorded(w, form, chain, seed);
     let report = res.map_err(|e| format!("{cell}: recorded run failed: {e}"))?;
-    let replayed = chaos_replay(w, form, chain, &log, delay)
+    let replayed = chaos_replay(w, form, chain, &log)
         .map_err(|e| format!("{cell}: replay failed where recording passed: {e}"))?;
     if replayed != report {
         return Err(format!("{cell}: replayed tally differs from recorded run"));
@@ -134,84 +128,13 @@ fn record_replay(w: &Workload, seed: u64, delay: Option<u64>) -> Result<(), Stri
     Ok(())
 }
 
-/// A run recorded with the background pipeline enabled must replay
-/// bit-identically on a synchronous VM driven by the recorded install
-/// schedule — the triage path for truly asynchronous runs.
-fn async_schedule_replay(w: &Workload, form: IsaForm) -> Result<(), String> {
-    let cell = format!("{}:{}:async", w.name, form_name(form));
-    let config = VmConfig {
-        translator: ildp_core::Translator {
-            form,
-            ..ildp_core::Translator::default()
-        },
-        ..VmConfig::default()
-    };
-    let budget = w.budget * 2;
-    let mut recorded = Vm::new(config, &w.program);
-    let exit = recorded.run(budget, &mut NullSink);
-    if exit != VmExit::Halted {
-        return Err(format!("{cell}: recorded run exited {exit:?}"));
-    }
-    let events = recorded.take_bg_events();
-
-    let mut replayed = Vm::new(
-        VmConfig {
-            async_translate: false,
-            ..config
-        },
-        &w.program,
-    );
-    replayed.set_install_schedule(&events);
-    let exit = replayed.run(budget, &mut NullSink);
-    if exit != VmExit::Halted {
-        return Err(format!("{cell}: scheduled replay exited {exit:?}"));
-    }
-    if replayed.cpu().registers() != recorded.cpu().registers() {
-        return Err(format!("{cell}: replayed GPR file diverged"));
-    }
-    if replayed.memory().content_digest() != recorded.memory().content_digest() {
-        return Err(format!("{cell}: replayed memory diverged"));
-    }
-    if replayed.output() != recorded.output() {
-        return Err(format!("{cell}: replayed console output diverged"));
-    }
-    if replayed.v_instructions() != recorded.v_instructions() {
-        return Err(format!(
-            "{cell}: replayed retired {} instructions, recorded {}",
-            replayed.v_instructions(),
-            recorded.v_instructions()
-        ));
-    }
-    if replayed.bg_events() != events.as_slice() {
-        return Err(format!(
-            "{cell}: replayed install/drop event log differs from the recording"
-        ));
-    }
-    // Statistics must match bit-for-bit once wall-clock timing (the one
-    // nondeterministic quantity) is masked out.
-    let mut want = recorded.stats().clone();
-    let mut got = replayed.stats().clone();
-    for s in [&mut want, &mut got] {
-        s.verify_nanos = 0;
-        s.translate_stall_nanos = 0;
-        s.translate_wall_nanos = 0;
-        s.pool_await_max_nanos = 0;
-        s.pool_respawns = 0;
-    }
-    if got != want {
-        return Err(format!(
-            "{cell}: replayed statistics differ from the recording"
-        ));
-    }
-    Ok(())
-}
-
-/// A run recorded with region re-formation forced hot must carry its v4
+/// A run recorded with region re-formation forced hot must carry its
 /// [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`] events
-/// through the `ReplayLog` wire format and scheduled-replay to the
-/// bit-identical architected state and event log. Returns the number of
-/// region events observed so the caller can gate matrix-wide coverage.
-fn region_schedule_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
+/// through the `ReplayLog` wire format, and a fresh VM re-running the
+/// program must reach the bit-identical architected state and event log.
+/// Returns the number of region events observed so the caller can gate
+/// matrix-wide coverage.
+fn region_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
     let cell = format!("{}:{}:region", w.name, form_name(form));
     let mut config = VmConfig {
         translator: ildp_core::Translator {
@@ -229,7 +152,7 @@ fn region_schedule_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
     if exit != VmExit::Halted {
         return Err(format!("{cell}: recorded run exited {exit:?}"));
     }
-    let events = recorded.take_bg_events();
+    let events = recorded.take_region_events();
     let region_events = events
         .iter()
         .filter(|e| {
@@ -240,7 +163,7 @@ fn region_schedule_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
         })
         .count() as u64;
 
-    // The v4 wire format must round-trip the region events exactly.
+    // The wire format must round-trip the region events exactly.
     let log = ReplayLog {
         seed: 0,
         sabotage: Vec::new(),
@@ -254,20 +177,13 @@ fn region_schedule_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
         ));
     }
 
-    // Scheduled replay: installs are driven by the recording; region
-    // promotion re-fires from the same deterministic entry counts and
-    // must re-emit the identical count-anchored event sequence.
-    let mut replayed = Vm::new(
-        VmConfig {
-            async_translate: false,
-            ..config
-        },
-        &w.program,
-    );
-    replayed.set_install_schedule(&events);
+    // Replay: region promotion re-fires from the same deterministic
+    // entry counts and must re-emit the identical count-anchored event
+    // sequence.
+    let mut replayed = Vm::new(config, &w.program);
     let exit = replayed.run(budget, &mut NullSink);
     if exit != VmExit::Halted {
-        return Err(format!("{cell}: scheduled replay exited {exit:?}"));
+        return Err(format!("{cell}: replay exited {exit:?}"));
     }
     if replayed.cpu().registers() != recorded.cpu().registers() {
         return Err(format!("{cell}: replayed GPR file diverged"));
@@ -285,9 +201,9 @@ fn region_schedule_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
             recorded.v_instructions()
         ));
     }
-    if replayed.bg_events() != events.as_slice() {
+    if replayed.region_events() != roundtripped.events.as_slice() {
         return Err(format!(
-            "{cell}: replayed event log (incl. region events) differs from the recording"
+            "{cell}: replayed region-event log differs from the recording"
         ));
     }
     Ok(region_events)
@@ -363,47 +279,25 @@ fn main() {
             }
         }
         checks += 1;
-        match record_replay(w, 4242, None) {
+        match record_replay(w, 4242) {
             Ok(()) => println!("{:<10} record/replay ok", w.name),
             Err(e) => {
                 println!("FAIL {e}");
                 report.fail(format!("{}:record_replay", w.name), vec![e]);
             }
         }
-        checks += 1;
-        match record_replay(w, 4242, Some(96)) {
-            Ok(()) => println!("{:<10} record/replay (delayed install) ok", w.name),
-            Err(e) => {
-                println!("FAIL {e}");
-                report.fail(format!("{}:record_replay_delayed", w.name), vec![e]);
-            }
-        }
-        for form in [IsaForm::Basic, IsaForm::Modified] {
-            checks += 1;
-            match async_schedule_replay(w, form) {
-                Ok(()) => println!(
-                    "{:<10} {:>8} async record/scheduled replay ok",
-                    w.name,
-                    form_name(form)
-                ),
-                Err(e) => {
-                    println!("FAIL {e}");
-                    report.fail(format!("{}:{}:async", w.name, form_name(form)), vec![e]);
-                }
-            }
-        }
     }
-    // Region record→scheduled replay: every workload × both forms, with
-    // matrix-wide coverage (at least one v4 region event somewhere).
+    // Region record→replay: every workload × both forms, with
+    // matrix-wide coverage (at least one region event somewhere).
     let mut region_events = 0u64;
     for w in &suite {
         for form in [IsaForm::Basic, IsaForm::Modified] {
             checks += 1;
-            match region_schedule_replay(w, form) {
+            match region_replay(w, form) {
                 Ok(n) => {
                     region_events += n;
                     println!(
-                        "{:<10} {:>8} region record/scheduled replay ok ({n} region events)",
+                        "{:<10} {:>8} region record/replay ok ({n} region events)",
                         w.name,
                         form_name(form)
                     );
@@ -418,7 +312,7 @@ fn main() {
     checks += 1;
     if region_events == 0 {
         let e = "no RegionPromote/RegionDrop events recorded anywhere in the matrix \
-                 — the v4 region-event gate exercised nothing"
+                 — the region-event gate exercised nothing"
             .to_string();
         println!("FAIL {e}");
         report.fail("region:coverage", vec![e]);

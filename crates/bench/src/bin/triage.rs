@@ -2,11 +2,10 @@
 //!
 //! Three modes:
 //!
-//! * `triage --chaos workload:form:chain:seed[:dDELAY] [-o out.repro]`
-//!   — records that chaos cell (`:dN` selects the delayed-install
-//!   variant, parking translations N retired instructions); if it
-//!   fails, bisects to the first divergent fragment execution and
-//!   (with `-o`) writes the minimized `.repro` bundle.
+//! * `triage --chaos workload:form:chain:seed [-o out.repro]` — records
+//!   that chaos cell; if it fails, bisects to the first divergent
+//!   fragment execution and (with `-o`) writes the minimized `.repro`
+//!   bundle.
 //! * `triage --sabotage workload:form:chain:vstart:slot:xor [-o out.repro]`
 //!   — plants a standing translator-miscompile rule (XOR `xor` into the
 //!   first immediate at/after `slot` of the fragment installed at
@@ -32,7 +31,7 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: triage --chaos workload:form:chain:seed[:dDELAY] [-o out.repro]\n\
+        "usage: triage --chaos workload:form:chain:seed [-o out.repro]\n\
          \x20      triage --sabotage workload:form:chain:vstart:slot:xor [-o out.repro]\n\
          \x20      triage --repro path"
     );
@@ -69,7 +68,7 @@ fn run_chaos(spec: &str, out: Option<&str>) -> i32 {
     let spec = CellSpec::parse(spec).unwrap_or_else(|e| fail(&e));
     let w = spec.workload(harness_scale());
     println!("triage: recording chaos cell {spec}");
-    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, spec.seed, spec.delay);
+    let (res, log) = chaos_cell_recorded(&w, spec.form, spec.chain, spec.seed);
     match res {
         Ok(report) => {
             println!(

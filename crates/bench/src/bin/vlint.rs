@@ -30,9 +30,6 @@ fn run_cell(workload: &Workload, form: IsaForm, chain: ChainPolicy) -> (u64, Vec
             fuse_memory: false,
         },
         validator: Some(ildp_verifier::collecting_validator),
-        // The collecting validator files violations in a thread-local
-        // report; translation must stay on this thread to read it back.
-        async_translate: false,
         ..VmConfig::default()
     };
     let mut vm = Vm::new(config, &workload.program);

@@ -92,9 +92,6 @@ pub struct ChaosReport {
     pub code_writes: u64,
     /// Fragments invalidated by the audit-and-heal pass.
     pub healed: u64,
-    /// Parked (delayed-install) translations dropped before their install
-    /// point — the translation that never arrives.
-    pub staged_drops: u64,
     /// Structurally corrupted fragments the audit FAILED to flag. Any
     /// non-zero value is a detector gap.
     pub undetected: u64,
@@ -111,7 +108,6 @@ impl ChaosReport {
         self.epoch_flips += other.epoch_flips;
         self.code_writes += other.code_writes;
         self.healed += other.healed;
-        self.staged_drops += other.staged_drops;
         self.undetected += other.undetected;
     }
 }
@@ -265,26 +261,9 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
             report.injections += 1;
             None
         }
-        ReplayEvent::StagedDrop { fragment_vstart } => {
-            // Kill a parked translation before its install point: the
-            // region must simply keep interpreting (and may re-heat).
-            if vm.drop_staged(fragment_vstart) {
-                report.staged_drops += 1;
-                report.injections += 1;
-            }
-            None
-        }
-        // Background install/drop decisions — and the pool-fault events
-        // of a supervised run — are not injections: the VM re-derives
-        // (or, under an install schedule, replays) them itself at their
-        // count anchors.
-        ReplayEvent::BgInstall { .. }
-        | ReplayEvent::BgDrop { .. }
-        | ReplayEvent::PoolTimeout { .. }
-        | ReplayEvent::PoolPanicReply { .. }
-        | ReplayEvent::PoolShed { .. }
-        | ReplayEvent::RegionPromote { .. }
-        | ReplayEvent::RegionDrop { .. } => None,
+        // Region decisions are not injections: the VM re-derives them
+        // itself at their count anchors.
+        ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. } => None,
     }
 }
 
@@ -292,20 +271,16 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
 /// event. Each structural fault is audited and healed immediately —
 /// injections must not interfere with each other's detectability — and a
 /// structural victim the audit missed is counted as `undetected`.
-/// `delayed` cells add a seventh fault kind: dropping a parked
-/// (delayed-install) translation before it lands.
 fn inject_round(
     vm: &mut Vm,
     rng: &mut XorShift,
     report: &mut ChaosReport,
     events: &mut Vec<ReplayEvent>,
-    delayed: bool,
 ) {
     let rounds = 1 + rng.next_u64() % 3;
-    let kinds = if delayed { 7 } else { 6 };
     for _ in 0..rounds {
         let vstart_of = |vm: &Vm, id: FragmentId| vm.cache().fragment(id).vstart;
-        let ev = match rng.next_u64() % kinds {
+        let ev = match rng.next_u64() % 6 {
             0 => pick_linked_site(vm, rng).map(|(id, k)| ReplayEvent::LinkClear {
                 fragment_vstart: vstart_of(vm, id),
                 slot: k as u32,
@@ -322,22 +297,12 @@ fn inject_round(
                 fragment_vstart: vstart_of(vm, id),
             }),
             4 => Some(ReplayEvent::EpochFlip),
-            5 => pick_fragment(vm, rng).map(|id| {
+            _ => pick_fragment(vm, rng).map(|id| {
                 let f = vm.cache().fragment(id);
                 let page = f.src_pages[(rng.next_u64() as usize) % f.src_pages.len()];
                 let addr = (page << ildp_core::SMC_PAGE_SHIFT) + (rng.next_u64() & 0xff8);
                 ReplayEvent::CodeWrite { addr, len: 8 }
             }),
-            _ => {
-                let staged = vm.staged_vstarts();
-                if staged.is_empty() {
-                    None
-                } else {
-                    Some(ReplayEvent::StagedDrop {
-                        fragment_vstart: staged[(rng.next_u64() as usize) % staged.len()],
-                    })
-                }
-            }
         };
         let Some(ev) = ev else { continue };
         // The structurally corrupted fragment, which the audit below must
@@ -358,10 +323,7 @@ fn inject_round(
 /// The VM configuration every chaos cell runs under: install-time
 /// validation with rejection, and a cache budget plus fuel watchdog tight
 /// enough that eviction and preemption actually bind at harness scales
-/// (fragments encode to ~50–100 bytes). Background translation is pinned
-/// off — chaos cells are seeded and wall-clock free; the
-/// background-pipeline timing dimension is exercised deterministically by
-/// the delayed-install cells ([`VmConfig::install_delay`]) instead.
+/// (fragments encode to ~50–100 bytes).
 pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
     VmConfig {
         translator: Translator {
@@ -378,16 +340,13 @@ pub fn cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
         on_violation: OnViolation::Reject,
         cache_budget: Some(256),
         fuel: Some(2_000),
-        async_translate: false,
         ..VmConfig::default()
     }
 }
 
-/// Names one chaos cell — workload × ISA form × chain policy × seed,
-/// optionally with a deterministic install delay — in a form both
-/// printable on failure and parseable back from a `--repro` argument:
-/// `gzip:modified:sw_pred.ras:7001` or `gzip:modified:sw_pred.ras:7001:d64`
-/// for a delayed-install cell.
+/// Names one chaos cell — workload × ISA form × chain policy × seed — in
+/// a form both printable on failure and parseable back from a `--repro`
+/// argument: `gzip:modified:sw_pred.ras:7001`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellSpec {
     /// Workload name, as in [`spec_workloads::NAMES`].
@@ -398,9 +357,6 @@ pub struct CellSpec {
     pub chain: ChainPolicy,
     /// Cell seed.
     pub seed: u64,
-    /// Deterministic install delay in retired V-ISA instructions
-    /// ([`VmConfig::install_delay`]); `Some` marks a delayed-install cell.
-    pub delay: Option<u64>,
 }
 
 impl fmt::Display for CellSpec {
@@ -416,33 +372,19 @@ impl fmt::Display for CellSpec {
             form,
             self.chain.label(),
             self.seed
-        )?;
-        if let Some(d) = self.delay {
-            write!(f, ":d{d}")?;
-        }
-        Ok(())
+        )
     }
 }
 
 impl CellSpec {
-    /// Parses the `workload:form:chain:seed[:dDELAY]` shape printed by
+    /// Parses the `workload:form:chain:seed` shape printed by
     /// [`Display`](fmt::Display).
     pub fn parse(s: &str) -> Result<CellSpec, String> {
         let parts: Vec<&str> = s.split(':').collect();
-        let (workload, form, chain, seed, delay) = match parts[..] {
-            [w, f, c, s] => (w, f, c, s, None),
-            [w, f, c, s, d] => {
-                let n = d
-                    .strip_prefix('d')
-                    .and_then(|n| n.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad delay {d:?}: want dNNN"))?;
-                (w, f, c, s, Some(n))
-            }
-            _ => {
-                return Err(format!(
-                    "bad cell spec {s:?}: want workload:form:chain:seed[:dDELAY]"
-                ))
-            }
+        let [workload, form, chain, seed] = parts[..] else {
+            return Err(format!(
+                "bad cell spec {s:?}: want workload:form:chain:seed"
+            ));
         };
         if !NAMES.contains(&workload) {
             return Err(format!("unknown workload {workload:?}"));
@@ -466,21 +408,12 @@ impl CellSpec {
             form,
             chain,
             seed,
-            delay,
         })
     }
 
     /// Builds the workload this cell runs at the given harness scale.
     pub fn workload(&self, scale: u32) -> Workload {
         by_name(&self.workload, scale).expect("validated at parse")
-    }
-
-    /// The VM configuration this cell runs under.
-    pub fn config(&self) -> VmConfig {
-        VmConfig {
-            install_delay: self.delay,
-            ..cell_config(self.form, self.chain)
-        }
     }
 }
 
@@ -519,10 +452,8 @@ fn check_outcome(
 /// Runs one chaos cell — a capacity-bounded, fuel-limited VM over the
 /// workload with faults injected at every chunk boundary, compared
 /// against the pure-interpreter reference — while recording the full
-/// nondeterministic envelope. A `delay` makes it a delayed-install cell:
-/// translations park for that many retired instructions before
-/// installing, the injection mix adds staged-translation drops, and every
-/// install/drop decision is recorded as a count-anchored event. Returns
+/// nondeterministic envelope, including the count-anchored region
+/// decisions the VM made. Returns
 /// the tally (or a description of the divergence) *and* the [`ReplayLog`]
 /// that reproduces the run exactly, pass or fail.
 pub fn chaos_cell_recorded(
@@ -530,7 +461,6 @@ pub fn chaos_cell_recorded(
     form: IsaForm,
     chain: ChainPolicy,
     seed: u64,
-    delay: Option<u64>,
 ) -> (Result<ChaosReport, String>, ReplayLog) {
     let mut log = ReplayLog {
         seed,
@@ -541,11 +471,7 @@ pub fn chaos_cell_recorded(
         Ok(r) => r,
         Err(e) => return (Err(format!("{}: {e}", w.name)), log),
     };
-    let config = VmConfig {
-        install_delay: delay,
-        ..cell_config(form, chain)
-    };
-    let mut vm = Vm::new(config, &w.program);
+    let mut vm = Vm::new(cell_config(form, chain), &w.program);
     let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let mut report = ChaosReport::default();
     // Pace the injection boundaries off the reference run's retire count
@@ -556,24 +482,18 @@ pub fn chaos_cell_recorded(
         let target = (reference.insts * c / (chunks + 1)).max(1);
         log.events.push(ReplayEvent::Run { budget: target });
         exit = vm.run(target, &mut NullSink);
-        // Count-anchored install/drop decisions made during this run
-        // chunk ride along in the log, before this boundary's injections.
-        log.events.append(&mut vm.take_bg_events());
+        // Count-anchored region decisions made during this run chunk
+        // ride along in the log, before this boundary's injections.
+        log.events.append(&mut vm.take_region_events());
         match exit {
-            VmExit::Budget => inject_round(
-                &mut vm,
-                &mut rng,
-                &mut report,
-                &mut log.events,
-                delay.is_some(),
-            ),
+            VmExit::Budget => inject_round(&mut vm, &mut rng, &mut report, &mut log.events),
             _ => break,
         }
     }
     if exit == VmExit::Budget {
         log.events.push(ReplayEvent::Run { budget });
         exit = vm.run(budget, &mut NullSink);
-        log.events.append(&mut vm.take_bg_events());
+        log.events.append(&mut vm.take_region_events());
     }
     let cell = format!("{} {form:?} {} seed {seed}", w.name, chain.label());
     (check_outcome(&vm, exit, &reference, report, &cell), log)
@@ -586,34 +506,24 @@ pub fn chaos_cell(
     form: IsaForm,
     chain: ChainPolicy,
     seed: u64,
-    delay: Option<u64>,
 ) -> Result<ChaosReport, String> {
-    chaos_cell_recorded(w, form, chain, seed, delay).0
+    chaos_cell_recorded(w, form, chain, seed).0
 }
 
 /// Re-runs a chaos cell from its recorded envelope: no generator in the
 /// loop, just the logged budgets and injections in order. Produces the
 /// same outcome *and the same tally* as the recorded run — including
 /// `undetected`, which is recomputed by correlating each structural event
-/// with the [`ReplayEvent::AuditHeal`] that follows it. Delayed-install
-/// cells replay on the same deterministic `delay`, re-deriving the
-/// recorded install/drop decisions at the same count anchors (the logged
-/// [`ReplayEvent::BgInstall`]/[`ReplayEvent::BgDrop`] events are the
-/// recorded ground truth; `StagedDrop` injections replay as events).
+/// with the [`ReplayEvent::AuditHeal`] that follows it.
 pub fn chaos_replay(
     w: &Workload,
     form: IsaForm,
     chain: ChainPolicy,
     log: &ReplayLog,
-    delay: Option<u64>,
 ) -> Result<ChaosReport, String> {
     let budget = w.budget * 2;
     let reference = interp_reference(&w.program, budget).map_err(|e| format!("{}: {e}", w.name))?;
-    let config = VmConfig {
-        install_delay: delay,
-        ..cell_config(form, chain)
-    };
-    let mut vm = Vm::new(config, &w.program);
+    let mut vm = Vm::new(cell_config(form, chain), &w.program);
     let mut report = ChaosReport::default();
     let mut exit = VmExit::Budget;
     // The structural victim of the most recent injection, awaiting its
@@ -637,15 +547,11 @@ pub fn chaos_replay(
                     }
                 }
             }
-            // Recorded background decisions: the replaying VM re-derives
-            // them deterministically from the same delay anchors, so they
-            // are informational here — and must not clobber the victim of
-            // a preceding structural injection.
-            ReplayEvent::BgInstall { .. }
-            | ReplayEvent::BgDrop { .. }
-            | ReplayEvent::PoolTimeout { .. }
-            | ReplayEvent::PoolPanicReply { .. }
-            | ReplayEvent::PoolShed { .. } => {}
+            // Recorded region decisions: the replaying VM re-derives them
+            // deterministically, so they are informational here — and
+            // must not clobber the victim of a preceding structural
+            // injection.
+            ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. } => {}
             _ => pending_victim = apply_event(&mut vm, ev, &mut report),
         }
     }

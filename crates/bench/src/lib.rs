@@ -12,7 +12,6 @@
 pub mod chaos;
 pub mod lint;
 pub mod miscompile;
-pub mod pool;
 pub mod report;
 pub mod runners;
 pub mod store;

@@ -1,5 +1,5 @@
 //! Shared machinery for the lint family (`vlint`, `chaoslint`,
-//! `replaylint`, `flowlint`, `storelint`, `poollint`, driven together
+//! `replaylint`, `flowlint`, `storelint`, `regionlint`, driven together
 //! by `lintall`).
 //!
 //! Every lint binary reports failures through one JSON schema so CI and
@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "tool": "<vlint|chaoslint|replaylint|flowlint|storelint|poollint>",
+//!   "tool": "<vlint|chaoslint|replaylint|flowlint|storelint|regionlint>",
 //!   "scale": 10,
 //!   "<extra>": 123,            // tool-specific counters, 0+ of them
 //!   "failures": [

@@ -31,7 +31,7 @@
 //!
 //! The whole-cache dataflow pass (`ildp_verifier::flow`) over the final
 //! installed cache — the optimization-opportunity counts that feed
-//! region re-formation (ROADMAP item 5, DESIGN.md §10, §13):
+//! region re-formation (ROADMAP item 5, DESIGN.md §10, §12):
 //!
 //! ```json
 //! { "fragments": 0,            // live fragments analyzed
@@ -47,8 +47,8 @@
 //!
 //! # Lint failure reports
 //!
-//! All seven lint binaries (`vlint`, `chaoslint`, `replaylint`,
-//! `flowlint`, `storelint`, `poollint`, `regionlint`) emit one shared
+//! All six lint binaries (`vlint`, `chaoslint`, `replaylint`,
+//! `flowlint`, `storelint`, `regionlint`) emit one shared
 //! single-line JSON schema on failure, built by
 //! [`crate::lint::LintReport`]:
 //!
@@ -66,15 +66,14 @@
 //!
 //! # `BENCH_throughput.json` (`perfstat --throughput`)
 //!
-//! Multi-VM scaling sweep (asynchronous translation, shared pool) plus
-//! the warm-start store section and the cross-process warm start:
+//! Multi-VM scaling sweep plus the warm-start store section and the
+//! cross-process warm start:
 //!
 //! ```json
 //! {
 //!   "bench": "multi_vm_throughput",
 //!   "scale": 5,                       // ILDP_SCALE (default 5 here)
 //!   "vms_per_cell": 8,                // ILDP_VMS
-//!   "pool_workers": 1,                // shared TranslatePool width
 //!   "throughput_metric": "...",       // how guest_insts_per_sec divides
 //!   "scaling_ratio": 0.0,             // ips(max threads) / ips(1 thread)
 //!   "scaling": [
@@ -83,10 +82,7 @@
 //!       "cpu_critical_path_seconds": 0.0,  // max per-thread CPU
 //!       "cpu_total_seconds": 0.0, "wall_seconds": 0.0,
 //!       "translate_stall_seconds": 0.0,    // guest-visible stall
-//!       "translate_wall_seconds": 0.0,     // worker-side translate time
-//!       "async_installs": 0, "async_dropped": 0,
-//!       "pool_timeouts": 0,           // deadline fallbacks (gate 0)
-//!       "pool_shed": 0 }              // backpressure sheds (gate 0)
+//!       "translate_wall_seconds": 0.0 }    // translate+verify time (same work)
 //!   ],
 //!   "warm_start": {
 //!     "cold_runs": 0, "cold_fragments": 0,  // published artifacts

@@ -125,10 +125,6 @@ pub fn run_ildp(w: &Workload, form: IsaForm, params: IldpParams) -> CellResult {
             acc_count: params.acc_count,
             fuse_memory: false,
         },
-        // The paper's figures model translation as an in-line pipeline
-        // stage; synchronous mode keeps the reported statistics exactly
-        // reproducible run-to-run.
-        async_translate: false,
         ..VmConfig::default()
     };
     let mut model = IldpModel::new(uarch);
@@ -152,8 +148,6 @@ pub fn run_dbt_functional(w: &Workload, form: IsaForm) -> VmStats {
             acc_count: 4,
             fuse_memory: false,
         },
-        // Table 2 / Figure 7 statistics must be bit-reproducible.
-        async_translate: false,
         ..VmConfig::default()
     };
     let mut vm = Vm::new(vm_config, &w.program);

@@ -43,7 +43,6 @@ pub fn store_cell_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
             fuse_memory: false,
         },
         validator: Some(collecting_validator),
-        async_translate: false,
         ..VmConfig::default()
     }
 }

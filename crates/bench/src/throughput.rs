@@ -1,13 +1,11 @@
 //! Multi-VM throughput harness: N concurrent guests on M OS threads.
 //!
-//! Models the warehouse-scale deployment the background translation
-//! pipeline and the shared warm-start fragment store exist for:
+//! Models the many-guest deployment the shared warm-start fragment store
+//! exists for:
 //!
 //! * **scaling** — N VM instances per (workload × ISA form) cell drain a
-//!   shared work queue on M OS threads, every VM using the default
-//!   asynchronous translation pipeline (one shared
-//!   [`ildp_core::TranslatePool`] serves them all). Aggregate guest
-//!   throughput is reported as total retired V-instructions divided by
+//!   shared work queue on M OS threads, every VM translating
+//!   synchronously on its own thread. Aggregate guest throughput is reported as total retired V-instructions divided by
 //!   the **CPU critical path** — the largest per-thread CPU time — so
 //!   the number measures how the work parallelizes even on a machine
 //!   with fewer physical cores than harness threads (wall-clock seconds
@@ -24,9 +22,7 @@
 //! `/proc/thread-self/stat`; on non-Linux systems it degrades to zero
 //! and the aggregate falls back to wall-clock.
 
-use ildp_core::{
-    ChainPolicy, FragmentStore, NullSink, TranslatePool, Translator, Vm, VmConfig, VmExit,
-};
+use ildp_core::{ChainPolicy, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
 use ildp_verifier::{collecting_validator, take_report};
 use spec_workloads::{suite, Workload};
@@ -75,22 +71,12 @@ pub struct ScalingRun {
     /// `total_guest_insts / cpu_critical_path_seconds` (falls back to
     /// wall-clock when per-thread CPU accounting is unavailable).
     pub guest_insts_per_sec: f64,
-    /// Guest-visible translation stall (blocking waits on the pipeline
-    /// plus synchronous fallbacks), summed across VMs.
+    /// Guest-visible translation + verification stall, summed across
+    /// VMs.
     pub translate_stall_seconds: f64,
-    /// Worker-side translation wall time, summed across VMs.
+    /// Translation + verification wall time, summed across VMs (the same
+    /// synchronous work as `translate_stall_seconds`).
     pub translate_wall_seconds: f64,
-    /// Background translations installed at safe points.
-    pub async_installs: u64,
-    /// Background translations discarded as stale.
-    pub async_dropped: u64,
-    /// Pool await-deadline expiries that fell back to synchronous
-    /// translation. Non-zero on a clean (fault-free) run means the
-    /// shared pool could not keep up — `perfstat --check` gates on zero.
-    pub pool_timeouts: u64,
-    /// Submissions shed to the synchronous path by queue backpressure.
-    /// Gated to zero on the clean path alongside `pool_timeouts`.
-    pub pool_shed: u64,
 }
 
 /// Warm-start section totals across every (workload × ISA form) cell.
@@ -135,8 +121,6 @@ pub struct ThroughputReport {
     pub scale: u32,
     /// VM instances per cell.
     pub vms: usize,
-    /// Worker threads in the shared translation pool.
-    pub pool_workers: usize,
     /// One entry per swept thread count.
     pub scaling: Vec<ScalingRun>,
     /// Warm-start totals.
@@ -200,10 +184,6 @@ struct ThreadTally {
     guest_insts: u64,
     stall_nanos: u64,
     translate_nanos: u64,
-    async_installs: u64,
-    async_dropped: u64,
-    pool_timeouts: u64,
-    pool_shed: u64,
 }
 
 fn scaling_point(suite: &[Workload], vms: usize, threads: usize) -> ScalingRun {
@@ -231,10 +211,6 @@ fn scaling_point(suite: &[Workload], vms: usize, threads: usize) -> ScalingRun {
                     guest_insts: 0,
                     stall_nanos: 0,
                     translate_nanos: 0,
-                    async_installs: 0,
-                    async_dropped: 0,
-                    pool_timeouts: 0,
-                    pool_shed: 0,
                 };
                 loop {
                     let job = queue.lock().expect("queue poisoned").pop_front();
@@ -252,10 +228,6 @@ fn scaling_point(suite: &[Workload], vms: usize, threads: usize) -> ScalingRun {
                     let st = vm.stats();
                     t.stall_nanos += st.translate_stall_nanos;
                     t.translate_nanos += st.translate_wall_nanos;
-                    t.async_installs += st.async_installs;
-                    t.async_dropped += st.async_dropped;
-                    t.pool_timeouts += st.pool_timeouts;
-                    t.pool_shed += st.pool_shed;
                 }
                 t.cpu_nanos = thread_cpu_nanos();
                 tallies.lock().expect("tallies poisoned").push(t);
@@ -283,19 +255,14 @@ fn scaling_point(suite: &[Workload], vms: usize, threads: usize) -> ScalingRun {
         translate_stall_seconds: tallies.iter().map(|t| t.stall_nanos).sum::<u64>() as f64 * 1e-9,
         translate_wall_seconds: tallies.iter().map(|t| t.translate_nanos).sum::<u64>() as f64
             * 1e-9,
-        async_installs: tallies.iter().map(|t| t.async_installs).sum(),
-        async_dropped: tallies.iter().map(|t| t.async_dropped).sum(),
-        pool_timeouts: tallies.iter().map(|t| t.pool_timeouts).sum(),
-        pool_shed: tallies.iter().map(|t| t.pool_shed).sum(),
     }
 }
 
 fn warm_cell(w: &Workload, form: IsaForm, warm_vms: usize, totals: &mut WarmStart) {
     let store = Arc::new(FragmentStore::new());
-    // Cold VM: translate synchronously, verify every fragment, publish.
+    // Cold VM: translate, verify every fragment, publish.
     let cold_config = VmConfig {
         validator: Some(collecting_validator),
-        async_translate: false,
         ..throughput_config(form)
     };
     let mut cold = Vm::new(cold_config, &w.program);
@@ -369,7 +336,6 @@ pub fn run_throughput(opts: &ThroughputOptions) -> ThroughputReport {
     ThroughputReport {
         scale: opts.scale,
         vms: opts.vms,
-        pool_workers: TranslatePool::global().workers(),
         scaling,
         warm,
     }

@@ -206,25 +206,8 @@ pub struct LogDriver<'a, 'p> {
 }
 
 impl<'a, 'p> LogDriver<'a, 'p> {
-    /// Wraps a VM (fresh or restored) for log-driven execution. When the
-    /// envelope carries background-install events (it was recorded from
-    /// an asynchronous or delayed-install run), the VM is switched to the
-    /// recorded install schedule so translations land at the logged
-    /// count anchors regardless of this build's translation mode.
-    pub fn new(mut vm: Vm<'p>, log: &'a ReplayLog) -> LogDriver<'a, 'p> {
-        let has_bg = log.events.iter().any(|ev| {
-            matches!(
-                ev,
-                ReplayEvent::BgInstall { .. }
-                    | ReplayEvent::BgDrop { .. }
-                    | ReplayEvent::PoolTimeout { .. }
-                    | ReplayEvent::PoolPanicReply { .. }
-                    | ReplayEvent::PoolShed { .. }
-            )
-        });
-        if has_bg {
-            vm.set_install_schedule(&log.events);
-        }
+    /// Wraps a VM (fresh or restored) for log-driven execution.
+    pub fn new(vm: Vm<'p>, log: &'a ReplayLog) -> LogDriver<'a, 'p> {
         let mut d = LogDriver {
             vm,
             log,
@@ -624,8 +607,6 @@ pub fn triage_run(
     entry.stats.verify_nanos = 0;
     entry.stats.translate_stall_nanos = 0;
     entry.stats.translate_wall_nanos = 0;
-    entry.stats.pool_await_max_nanos = 0;
-    entry.stats.pool_respawns = 0;
     let entry = &entry;
     // Phase C: lockstep localization from the last good checkpoint. The
     // trimmed log keeps the standing sabotage rules and every event not

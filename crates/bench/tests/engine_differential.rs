@@ -44,10 +44,6 @@ fn config(form: IsaForm) -> VmConfig {
             acc_count: 4,
             fuse_memory: false,
         },
-        // Separate runs must agree counter-for-counter; asynchronous
-        // install timing would make the interpret/execute split depend
-        // on wall clock. (Async equivalence: tests/async_determinism.rs.)
-        async_translate: false,
         ..VmConfig::default()
     }
 }

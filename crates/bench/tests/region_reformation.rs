@@ -32,9 +32,6 @@ fn region_config(form: IsaForm, chain: ChainPolicy) -> VmConfig {
             fuse_memory: false,
         },
         validator: Some(ildp_verifier::collecting_full_validator),
-        // The collecting validator files violations thread-locally;
-        // translation must stay on this thread to read them back.
-        async_translate: false,
         ..VmConfig::default()
     };
     config.engine.region_trigger = Some(TRIGGER);
@@ -128,7 +125,7 @@ proptest! {
         let form = if form_modified { IsaForm::Modified } else { IsaForm::Basic };
         let w = by_name("bzip2", 2).expect("bzip2 workload");
         let reference = interp_reference(&w.program, w.budget * 2)
-            .map_err(|e| TestCaseError::fail(e))?;
+            .map_err(TestCaseError::fail)?;
 
         let config = region_config(form, ChainPolicy::SwPredDualRas);
         // A budget pause completes the in-flight fragment before

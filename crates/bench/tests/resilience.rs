@@ -26,10 +26,6 @@ fn base_config(form: IsaForm) -> VmConfig {
             threshold: 10,
             ..ProfileConfig::default()
         },
-        // These tests assert precise install/eviction/ladder statistics;
-        // synchronous translation keeps their timing deterministic.
-        // (Async-mode equivalence is covered by tests/async_determinism.rs.)
-        async_translate: false,
         ..VmConfig::default()
     }
 }
@@ -241,7 +237,7 @@ fn external_flush_resets_policy_window() {
 fn chaos_cell_smoke() {
     let w = spec_workloads::by_name("gcc", 1).unwrap();
     for chain in [ChainPolicy::NoPred, ChainPolicy::SwPredDualRas] {
-        let report = chaos_cell(&w, IsaForm::Modified, chain, 0xC0FFEE, None).unwrap();
+        let report = chaos_cell(&w, IsaForm::Modified, chain, 0xC0FFEE).unwrap();
         assert!(report.injections > 0, "{chain:?}: nothing was injected");
         assert_eq!(report.undetected, 0);
     }

@@ -4,7 +4,9 @@
 //! rather than clobber.
 
 use ildp_bench::store::{pretranslate_cell, run_cell_against_store};
-use ildp_core::{ChainPolicy, FragmentArtifact, FragmentStore};
+use ildp_core::{
+    ChainPolicy, FragmentArtifact, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit,
+};
 use ildp_isa::IsaForm;
 use spec_workloads::suite;
 use std::path::PathBuf;
@@ -180,4 +182,67 @@ fn saved_store_boots_a_cold_vm_without_retranslation() {
     assert_eq!(out.store_quarantined, 0);
     assert_eq!(out.fragments_verified, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn config(form: IsaForm) -> VmConfig {
+    VmConfig {
+        translator: Translator {
+            form,
+            chain: ChainPolicy::SwPredDualRas,
+            acc_count: 4,
+            fuse_memory: false,
+        },
+        ..VmConfig::default()
+    }
+}
+
+/// A VM warm-started from a shared store — and the cold VM that filled
+/// it — must reach the exact final architected state of a store-less
+/// VM: all 32 GPRs, memory contents, console output and retired
+/// V-instruction count.
+#[test]
+fn warm_start_is_architecturally_invisible() {
+    for w in suite(1) {
+        let form = IsaForm::Modified;
+        let what = format!("{} warm start", w.name);
+        let budget = w.budget * 2;
+
+        let mut reference = Vm::new(config(form), &w.program);
+        assert_eq!(reference.run(budget, &mut NullSink), VmExit::Halted);
+
+        let store = Arc::new(FragmentStore::new());
+        let mut cold = Vm::new(config(form), &w.program);
+        cold.attach_store(Arc::clone(&store));
+        assert_eq!(cold.run(budget, &mut NullSink), VmExit::Halted);
+
+        let mut warm = Vm::new(config(form), &w.program);
+        warm.attach_store(Arc::clone(&store));
+        assert_eq!(warm.run(budget, &mut NullSink), VmExit::Halted);
+        assert!(
+            warm.stats().warm_hits > 0 || cold.stats().warm_stores == 0,
+            "{what}: store populated but never hit"
+        );
+        for (vm, label) in [(&cold, "cold"), (&warm, "warm")] {
+            assert_eq!(
+                vm.cpu().registers(),
+                reference.cpu().registers(),
+                "{what}: {label} GPRs diverged"
+            );
+            assert_eq!(
+                vm.memory().content_digest(),
+                reference.memory().content_digest(),
+                "{what}: {label} memory diverged"
+            );
+            assert_eq!(
+                vm.output(),
+                reference.output(),
+                "{what}: {label} output diverged"
+            );
+            assert_eq!(
+                vm.v_instructions(),
+                reference.v_instructions(),
+                "{what}: {label} retired count diverged"
+            );
+        }
+    }
 }

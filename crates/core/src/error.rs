@@ -71,37 +71,6 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Why a background translation request produced no usable translation.
-///
-/// Carried in [`TranslateResponse::result`](crate::TranslateResponse) so
-/// a worker fault travels back to the submitting VM as structured data
-/// instead of a lost reply or a propagated panic. The VM's response to
-/// every variant is the same degradation ladder the verifier uses:
-/// demote the region and let it re-heat into a leaner tier (or fall back
-/// to interpretation) — never install, never wedge, never panic.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TranslateError {
-    /// The worker's translate/verify job panicked. The panic was caught
-    /// at the worker's `catch_unwind` boundary; `message` is the panic
-    /// payload (when it was a string).
-    Panicked {
-        /// The panic payload, best-effort stringified.
-        message: String,
-    },
-}
-
-impl fmt::Display for TranslateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TranslateError::Panicked { message } => {
-                write!(f, "translation worker panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TranslateError {}
-
 /// Why a serialized snapshot / replay artifact could not be loaded or
 /// applied. Every wire format in the workspace (snapshots, replay logs,
 /// `.repro` bundles) shares the same envelope — magic, version, payload,

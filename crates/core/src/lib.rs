@@ -35,7 +35,6 @@ mod cost;
 mod engine;
 mod error;
 mod fragment;
-mod pipeline;
 mod profile;
 mod replay;
 mod snapshot;
@@ -56,15 +55,10 @@ pub use classify::{
 };
 pub use cost::CostModel;
 pub use engine::{Engine, EngineConfig, EngineStats, FragExit, NullSink, TraceSink};
-pub use error::{SnapshotError, TranslateError, VmError};
+pub use error::{SnapshotError, VmError};
 pub use fragment::{
     Fragment, FragmentId, IMeta, RecoveryEntry, TranslationCache, CODE_CACHE_BASE,
     DISPATCH_COST_INSTS, DISPATCH_IADDR, SMC_PAGE_SHIFT,
-};
-pub use pipeline::{
-    parse_pool_faults, parse_workers, silence_injected_panics, translate_job, PoolFaultKind,
-    PoolFaults, PoolStats, SubmitOutcome, TranslateOutput, TranslatePool, TranslateRequest,
-    TranslateResponse, INJECTED_PANIC_MARKER,
 };
 pub use profile::{
     collect_superblock, collect_superblock_with_output, interp_step, Candidates, InterpEvent,

@@ -28,14 +28,11 @@ use crate::wire::{self, Cursor};
 /// Magic number of the replay-log wire format (`"ILPR"`).
 pub const REPLAY_MAGIC: u32 = 0x5250_4C49;
 
-/// Current replay-log format version. Version 2 added the background
-/// translation events ([`ReplayEvent::BgInstall`], [`ReplayEvent::BgDrop`],
-/// [`ReplayEvent::StagedDrop`]); version 3 added the pool-fault events
-/// ([`ReplayEvent::PoolTimeout`], [`ReplayEvent::PoolPanicReply`],
-/// [`ReplayEvent::PoolShed`]); version 4 added the region re-formation
-/// events ([`ReplayEvent::RegionPromote`], [`ReplayEvent::RegionDrop`]).
-/// Older logs remain readable.
-pub const REPLAY_VERSION: u32 = 4;
+/// Current replay-log format version. Version 5 removed the background
+/// translation-pool events of versions 2–4 and renumbered the region
+/// events' wire tags; logs written by versions 1–4 are refused with
+/// [`SnapshotError::BadVersion`], as are future versions.
+pub const REPLAY_VERSION: u32 = 5;
 
 /// One externally-applied stimulus, in application order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,58 +87,6 @@ pub enum ReplayEvent {
     /// The C01–C07 installed-fragment audit ran and healed every flagged
     /// fragment by precise invalidation.
     AuditHeal,
-    /// A background translation finished and its fragment was installed
-    /// at the fragment-boundary safe point where `at_v_insts` retired
-    /// instructions had been counted. A replaying VM in scheduled mode
-    /// translates synchronously but defers the install to this anchor.
-    BgInstall {
-        /// Entry V-address of the installed fragment.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the installing safe point.
-        at_v_insts: u64,
-    },
-    /// A background translation finished but its result was discarded at
-    /// the safe point (the region had been demoted, invalidated by SMC,
-    /// rejected by the verifier, or superseded).
-    BgDrop {
-        /// Entry V-address of the dropped fragment.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the discarding safe point.
-        at_v_insts: u64,
-    },
-    /// A staged (completed-but-not-yet-installed) translation was dropped
-    /// by external fault injection before reaching its safe point.
-    StagedDrop {
-        /// Entry V-address of the dropped staged fragment.
-        fragment_vstart: u64,
-    },
-    /// A re-heated region's in-flight background translation blew the
-    /// configured `translate_timeout` deadline and the VM translated it
-    /// synchronously instead (the deadline fallback). A replaying VM
-    /// performs the same synchronous resolution at this anchor.
-    PoolTimeout {
-        /// Entry V-address of the timed-out region.
-        fragment_vstart: u64,
-        /// Retired-instruction count when the deadline expired.
-        at_v_insts: u64,
-    },
-    /// A background translation came back as a contained worker panic
-    /// (structured `TranslateError` reply); the region was demoted and
-    /// left to re-heat into a leaner tier.
-    PoolPanicReply {
-        /// Entry V-address of the panicked region.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the safe point that saw the reply.
-        at_v_insts: u64,
-    },
-    /// The pool's bounded submission queue was saturated and the VM shed
-    /// the request to the synchronous translation path (backpressure).
-    PoolShed {
-        /// Entry V-address of the shed region.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the shedding point.
-        at_v_insts: u64,
-    },
     /// A hot fragment chain was re-formed into a merged region installed
     /// at its head. Promotion is derived deterministically from cache
     /// state, so a replaying VM re-derives it at the same anchor; the
@@ -152,9 +97,10 @@ pub enum ReplayEvent {
         /// Retired-instruction count when the region installed.
         at_v_insts: u64,
     },
-    /// A region re-formation was refused (verifier rejection under
-    /// `OnViolation::Reject`); the head was banned from re-promotion and
-    /// its constituent fragments were left untouched.
+    /// A region re-formation was refused (the profitability gate, or a
+    /// verifier rejection under `OnViolation::Reject`); the head was
+    /// banned from re-promotion and its constituent fragments were left
+    /// untouched.
     RegionDrop {
         /// Entry V-address of the refused region head.
         fragment_vstart: u64,
@@ -212,7 +158,7 @@ impl ReplayLog {
     /// Deserializes an artifact written by [`to_bytes`](ReplayLog::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, SnapshotError> {
         let (version, payload) = wire::open(REPLAY_MAGIC, bytes)?;
-        if !(1..=REPLAY_VERSION).contains(&version) {
+        if version != REPLAY_VERSION {
             return Err(SnapshotError::BadVersion { version });
         }
         let mut c = Cursor::new(payload);
@@ -250,19 +196,13 @@ impl ReplayLog {
             .iter()
             .position(|ev| matches!(*ev, ReplayEvent::Run { budget } if budget > v_insts))
             .unwrap_or(self.events.len());
-        // Background install/drop events anchored at or before the
-        // checkpoint are already reflected in the restored cache (or in
-        // its absence: a restored VM simply re-translates), so only the
-        // ones anchored past the checkpoint stay live.
+        // Region events anchored at or before the checkpoint are already
+        // reflected in the restored run, so only the ones anchored past
+        // the checkpoint stay live.
         let events = self.events[start..]
             .iter()
             .filter(|ev| match **ev {
-                ReplayEvent::BgInstall { at_v_insts, .. }
-                | ReplayEvent::BgDrop { at_v_insts, .. }
-                | ReplayEvent::PoolTimeout { at_v_insts, .. }
-                | ReplayEvent::PoolPanicReply { at_v_insts, .. }
-                | ReplayEvent::PoolShed { at_v_insts, .. }
-                | ReplayEvent::RegionPromote { at_v_insts, .. }
+                ReplayEvent::RegionPromote { at_v_insts, .. }
                 | ReplayEvent::RegionDrop { at_v_insts, .. } => at_v_insts > v_insts,
                 _ => true,
             })
@@ -317,7 +257,7 @@ fn put_event(p: &mut Vec<u8>, ev: &ReplayEvent) {
             wire::put_u64(p, len);
         }
         ReplayEvent::AuditHeal => wire::put_u8(p, 7),
-        ReplayEvent::BgInstall {
+        ReplayEvent::RegionPromote {
             fragment_vstart,
             at_v_insts,
         } => {
@@ -325,55 +265,11 @@ fn put_event(p: &mut Vec<u8>, ev: &ReplayEvent) {
             wire::put_u64(p, fragment_vstart);
             wire::put_u64(p, at_v_insts);
         }
-        ReplayEvent::BgDrop {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 9);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::StagedDrop { fragment_vstart } => {
-            wire::put_u8(p, 10);
-            wire::put_u64(p, fragment_vstart);
-        }
-        ReplayEvent::PoolTimeout {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 11);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::PoolPanicReply {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 12);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::PoolShed {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 13);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::RegionPromote {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 14);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
         ReplayEvent::RegionDrop {
             fragment_vstart,
             at_v_insts,
         } => {
-            wire::put_u8(p, 15);
+            wire::put_u8(p, 9);
             wire::put_u64(p, fragment_vstart);
             wire::put_u64(p, at_v_insts);
         }
@@ -406,34 +302,11 @@ fn take_event(c: &mut Cursor<'_>) -> Result<ReplayEvent, SnapshotError> {
             len: c.take_u64()?,
         },
         7 => ReplayEvent::AuditHeal,
-        8 => ReplayEvent::BgInstall {
+        8 => ReplayEvent::RegionPromote {
             fragment_vstart: c.take_u64()?,
             at_v_insts: c.take_u64()?,
         },
-        9 => ReplayEvent::BgDrop {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        10 => ReplayEvent::StagedDrop {
-            fragment_vstart: c.take_u64()?,
-        },
-        11 => ReplayEvent::PoolTimeout {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        12 => ReplayEvent::PoolPanicReply {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        13 => ReplayEvent::PoolShed {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        14 => ReplayEvent::RegionPromote {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        15 => ReplayEvent::RegionDrop {
+        9 => ReplayEvent::RegionDrop {
             fragment_vstart: c.take_u64()?,
             at_v_insts: c.take_u64()?,
         },
@@ -508,89 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn background_events_roundtrip_and_trim_by_anchor() {
-        let log = ReplayLog {
-            seed: 9,
-            sabotage: Vec::new(),
-            events: vec![
-                ReplayEvent::Run { budget: 100 },
-                ReplayEvent::BgInstall {
-                    fragment_vstart: 0x1_0040,
-                    at_v_insts: 57,
-                },
-                ReplayEvent::Run { budget: 300 },
-                ReplayEvent::BgDrop {
-                    fragment_vstart: 0x1_0080,
-                    at_v_insts: 150,
-                },
-                ReplayEvent::BgInstall {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 260,
-                },
-                ReplayEvent::StagedDrop {
-                    fragment_vstart: 0x1_0100,
-                },
-            ],
-        };
-        let back = ReplayLog::from_bytes(&log.to_bytes()).unwrap();
-        assert_eq!(back, log);
-        // A checkpoint at 200 keeps the tail Run, drops the background
-        // events already reflected in it, and keeps the one still due.
-        let t = log.trimmed_to(200);
-        assert_eq!(
-            t.events,
-            vec![
-                ReplayEvent::Run { budget: 300 },
-                ReplayEvent::BgInstall {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 260,
-                },
-                ReplayEvent::StagedDrop {
-                    fragment_vstart: 0x1_0100,
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn pool_fault_events_roundtrip_and_trim_by_anchor() {
-        let log = ReplayLog {
-            seed: 17,
-            sabotage: Vec::new(),
-            events: vec![
-                ReplayEvent::Run { budget: 500 },
-                ReplayEvent::PoolShed {
-                    fragment_vstart: 0x1_0040,
-                    at_v_insts: 80,
-                },
-                ReplayEvent::PoolPanicReply {
-                    fragment_vstart: 0x1_0080,
-                    at_v_insts: 150,
-                },
-                ReplayEvent::PoolTimeout {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 320,
-                },
-            ],
-        };
-        let back = ReplayLog::from_bytes(&log.to_bytes()).unwrap();
-        assert_eq!(back, log);
-        // Pool-fault events trim by their count anchor like the other
-        // background events.
-        let t = log.trimmed_to(200);
-        assert_eq!(
-            t.events,
-            vec![
-                ReplayEvent::Run { budget: 500 },
-                ReplayEvent::PoolTimeout {
-                    fragment_vstart: 0x1_00c0,
-                    at_v_insts: 320,
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn region_events_roundtrip_and_trim_by_anchor() {
         let log = ReplayLog {
             seed: 23,
@@ -609,8 +399,8 @@ mod tests {
         };
         let back = ReplayLog::from_bytes(&log.to_bytes()).unwrap();
         assert_eq!(back, log);
-        // Region events are count-anchored like the other background
-        // events: ones already reflected in a checkpoint trim away.
+        // Region events are count-anchored: ones already reflected in a
+        // checkpoint trim away.
         let t = log.trimmed_to(300);
         assert_eq!(
             t.events,
@@ -621,6 +411,17 @@ mod tests {
                     at_v_insts: 640,
                 },
             ]
+        );
+    }
+
+    #[test]
+    fn version_4_log_is_refused() {
+        let v5 = sample().to_bytes();
+        let (_, payload) = wire::open(REPLAY_MAGIC, &v5).unwrap();
+        let v4 = wire::seal(REPLAY_MAGIC, 4, payload);
+        assert_eq!(
+            ReplayLog::from_bytes(&v4),
+            Err(SnapshotError::BadVersion { version: 4 })
         );
     }
 }

@@ -28,12 +28,13 @@ use alpha_isa::{Memory, Program};
 /// Magic number of the snapshot wire format (`"ILPS"`).
 pub const SNAPSHOT_MAGIC: u32 = 0x5350_4C49;
 
-/// Current snapshot format version. Version 2 appended the background
-/// translation pipeline and warm-start statistics to the stats block;
-/// version 3 appended the pool-supervision counters; version 4 appended
-/// the region re-formation counters. Older artifacts are still readable
-/// (the new counters restore as zero). Future versions are refused.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Current snapshot format version. Version 5 serializes every
+/// [`VmStats`] counter in declaration order — it dropped the background
+/// translation-pool counters and added `store_quarantined`,
+/// `store_load_rejects` and `regions_verified`, which earlier versions
+/// silently reset on restore. Versions 1–4 are refused with
+/// [`SnapshotError::BadVersion`], as are future versions.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Identity digest of a guest program: FNV-1a over the code base, entry
 /// PC, initial SP and every code word. Data segments are excluded on
@@ -146,7 +147,7 @@ impl Snapshot {
     /// Deserializes an artifact written by [`to_bytes`](Snapshot::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let (version, payload) = wire::open(SNAPSHOT_MAGIC, bytes)?;
-        if !(1..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::BadVersion { version });
         }
         let mut c = Cursor::new(payload);
@@ -191,7 +192,7 @@ impl Snapshot {
             let count = c.take_u32()?;
             smc_counts.push((vstart, count));
         }
-        let stats = take_stats(&mut c, version)?;
+        let stats = take_stats(&mut c)?;
         Ok(Snapshot {
             program_digest,
             v_insts,
@@ -222,154 +223,159 @@ fn take_categories(c: &mut Cursor<'_>) -> Result<CategoryCounts, SnapshotError> 
     Ok(out)
 }
 
-/// Serializes a [`VmStats`] (fixed field order; versioned by the
-/// enclosing envelope).
+/// Serializes a [`VmStats`]: every counter in declaration order, then the
+/// engine block and the category tables. The destructuring is exhaustive,
+/// so a counter added to `VmStats` or `EngineStats` without wire support
+/// fails to compile here.
 pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
-    for v in [
-        s.interpreted,
-        s.fragments,
-        s.translated_src_insts,
-        s.emitted_insts,
-        s.static_copies,
-        s.strands,
-        s.terminations,
-        s.translated_code_bytes,
-        s.translation_overhead,
-        s.interpretation_overhead,
-        s.cache_flushes,
-        s.fragments_verified,
-        s.verify_nanos,
-        s.verify_rejected,
-        s.evictions,
-        s.smc_invalidations,
-        s.demotions,
-        s.blacklisted,
-        s.fuel_preemptions,
-        s.unlinked_sites,
-        // Version 2: background pipeline + warm start.
-        s.warmup_interpreted,
-        s.translate_stall_nanos,
-        s.translate_wall_nanos,
-        s.warm_hits,
-        s.warm_misses,
-        s.warm_stores,
-        s.async_installs,
-        s.async_dropped,
-        // Version 3: pool supervision.
-        s.pool_timeouts,
-        s.pool_panics,
-        s.pool_respawns,
-        s.pool_shed,
-        s.sync_fallbacks,
-        s.pool_await_max_nanos,
-        // Version 4: region re-formation. The engine's region-entry
-        // counter serializes here rather than widening the fixed engine
-        // block below, which every version reads unconditionally.
-        s.regions_formed,
-        s.seam_pairs_eliminated,
-        s.engine.region_entries,
+    let VmStats {
+        interpreted,
+        fragments,
+        translated_src_insts,
+        emitted_insts,
+        static_copies,
+        strands,
+        terminations,
+        translated_code_bytes,
+        translation_overhead,
+        interpretation_overhead,
+        cache_flushes,
+        fragments_verified,
+        verify_nanos,
+        verify_rejected,
+        evictions,
+        smc_invalidations,
+        demotions,
+        blacklisted,
+        fuel_preemptions,
+        unlinked_sites,
+        warmup_interpreted,
+        translate_stall_nanos,
+        translate_wall_nanos,
+        warm_hits,
+        warm_misses,
+        warm_stores,
+        store_quarantined,
+        store_load_rejects,
+        regions_formed,
+        seam_pairs_eliminated,
+        regions_verified,
+        engine,
+        static_categories,
+        oracle_categories,
+    } = s;
+    let EngineStats {
+        executed,
+        chain_executed,
+        copies_executed,
+        v_insts,
+        categories,
+        dispatches,
+        ras_hits,
+        ras_misses,
+        fragment_entries,
+        region_entries,
+    } = engine;
+    for &v in [
+        interpreted,
+        fragments,
+        translated_src_insts,
+        emitted_insts,
+        static_copies,
+        strands,
+        terminations,
+        translated_code_bytes,
+        translation_overhead,
+        interpretation_overhead,
+        cache_flushes,
+        fragments_verified,
+        verify_nanos,
+        verify_rejected,
+        evictions,
+        smc_invalidations,
+        demotions,
+        blacklisted,
+        fuel_preemptions,
+        unlinked_sites,
+        warmup_interpreted,
+        translate_stall_nanos,
+        translate_wall_nanos,
+        warm_hits,
+        warm_misses,
+        warm_stores,
+        store_quarantined,
+        store_load_rejects,
+        regions_formed,
+        seam_pairs_eliminated,
+        regions_verified,
+        executed,
+        chain_executed,
+        copies_executed,
+        v_insts,
+        dispatches,
+        ras_hits,
+        ras_misses,
+        fragment_entries,
+        region_entries,
     ] {
         wire::put_u64(p, v);
     }
-    let e = &s.engine;
-    for v in [
-        e.executed,
-        e.chain_executed,
-        e.copies_executed,
-        e.v_insts,
-        e.dispatches,
-        e.ras_hits,
-        e.ras_misses,
-        e.fragment_entries,
-    ] {
-        wire::put_u64(p, v);
-    }
-    put_categories(p, &e.categories);
-    put_categories(p, &s.static_categories);
-    put_categories(p, &s.oracle_categories);
+    put_categories(p, categories);
+    put_categories(p, static_categories);
+    put_categories(p, oracle_categories);
 }
 
-/// Deserializes a [`VmStats`] written by [`put_stats`]. `version` is the
-/// enclosing envelope's format version: version-1 payloads lack the
-/// background-pipeline counters, which restore as zero.
-pub(crate) fn take_stats(c: &mut Cursor<'_>, version: u32) -> Result<VmStats, SnapshotError> {
-    let mut s = VmStats::default();
-    for v in [
-        &mut s.interpreted,
-        &mut s.fragments,
-        &mut s.translated_src_insts,
-        &mut s.emitted_insts,
-        &mut s.static_copies,
-        &mut s.strands,
-        &mut s.terminations,
-        &mut s.translated_code_bytes,
-        &mut s.translation_overhead,
-        &mut s.interpretation_overhead,
-        &mut s.cache_flushes,
-        &mut s.fragments_verified,
-        &mut s.verify_nanos,
-        &mut s.verify_rejected,
-        &mut s.evictions,
-        &mut s.smc_invalidations,
-        &mut s.demotions,
-        &mut s.blacklisted,
-        &mut s.fuel_preemptions,
-        &mut s.unlinked_sites,
-    ] {
-        *v = c.take_u64()?;
-    }
-    if version >= 2 {
-        for v in [
-            &mut s.warmup_interpreted,
-            &mut s.translate_stall_nanos,
-            &mut s.translate_wall_nanos,
-            &mut s.warm_hits,
-            &mut s.warm_misses,
-            &mut s.warm_stores,
-            &mut s.async_installs,
-            &mut s.async_dropped,
-        ] {
-            *v = c.take_u64()?;
-        }
-    }
-    if version >= 3 {
-        for v in [
-            &mut s.pool_timeouts,
-            &mut s.pool_panics,
-            &mut s.pool_respawns,
-            &mut s.pool_shed,
-            &mut s.sync_fallbacks,
-            &mut s.pool_await_max_nanos,
-        ] {
-            *v = c.take_u64()?;
-        }
-    }
-    let mut region_entries = 0u64;
-    if version >= 4 {
-        for v in [
-            &mut s.regions_formed,
-            &mut s.seam_pairs_eliminated,
-            &mut region_entries,
-        ] {
-            *v = c.take_u64()?;
-        }
-    }
-    let mut e = EngineStats::default();
-    for v in [
-        &mut e.executed,
-        &mut e.chain_executed,
-        &mut e.copies_executed,
-        &mut e.v_insts,
-        &mut e.dispatches,
-        &mut e.ras_hits,
-        &mut e.ras_misses,
-        &mut e.fragment_entries,
-    ] {
-        *v = c.take_u64()?;
-    }
-    e.region_entries = region_entries;
-    e.categories = take_categories(c)?;
-    s.engine = e;
+/// Deserializes a [`VmStats`] written by [`put_stats`]. Struct-literal
+/// fields evaluate in the order written, which is the wire order.
+pub(crate) fn take_stats(c: &mut Cursor<'_>) -> Result<VmStats, SnapshotError> {
+    let mut s = VmStats {
+        interpreted: c.take_u64()?,
+        fragments: c.take_u64()?,
+        translated_src_insts: c.take_u64()?,
+        emitted_insts: c.take_u64()?,
+        static_copies: c.take_u64()?,
+        strands: c.take_u64()?,
+        terminations: c.take_u64()?,
+        translated_code_bytes: c.take_u64()?,
+        translation_overhead: c.take_u64()?,
+        interpretation_overhead: c.take_u64()?,
+        cache_flushes: c.take_u64()?,
+        fragments_verified: c.take_u64()?,
+        verify_nanos: c.take_u64()?,
+        verify_rejected: c.take_u64()?,
+        evictions: c.take_u64()?,
+        smc_invalidations: c.take_u64()?,
+        demotions: c.take_u64()?,
+        blacklisted: c.take_u64()?,
+        fuel_preemptions: c.take_u64()?,
+        unlinked_sites: c.take_u64()?,
+        warmup_interpreted: c.take_u64()?,
+        translate_stall_nanos: c.take_u64()?,
+        translate_wall_nanos: c.take_u64()?,
+        warm_hits: c.take_u64()?,
+        warm_misses: c.take_u64()?,
+        warm_stores: c.take_u64()?,
+        store_quarantined: c.take_u64()?,
+        store_load_rejects: c.take_u64()?,
+        regions_formed: c.take_u64()?,
+        seam_pairs_eliminated: c.take_u64()?,
+        regions_verified: c.take_u64()?,
+        engine: EngineStats {
+            executed: c.take_u64()?,
+            chain_executed: c.take_u64()?,
+            copies_executed: c.take_u64()?,
+            v_insts: c.take_u64()?,
+            categories: CategoryCounts::default(),
+            dispatches: c.take_u64()?,
+            ras_hits: c.take_u64()?,
+            ras_misses: c.take_u64()?,
+            fragment_entries: c.take_u64()?,
+            region_entries: c.take_u64()?,
+        },
+        static_categories: CategoryCounts::default(),
+        oracle_categories: CategoryCounts::default(),
+    };
+    s.engine.categories = take_categories(c)?;
     s.static_categories = take_categories(c)?;
     s.oracle_categories = take_categories(c)?;
     Ok(s)
@@ -379,35 +385,62 @@ pub(crate) fn take_stats(c: &mut Cursor<'_>, version: u32) -> Result<VmStats, Sn
 mod tests {
     use super::*;
 
+    /// Every counter set, each to a distinct non-zero value. The literal
+    /// is exhaustive (no `..Default::default()`): a counter added later
+    /// must be listed here, and then fails the round-trip test unless the
+    /// wire format carries it.
+    fn distinct_stats() -> VmStats {
+        let cats = |base: u64| CategoryCounts(std::array::from_fn(|i| base + i as u64));
+        VmStats {
+            interpreted: 1,
+            fragments: 2,
+            translated_src_insts: 3,
+            emitted_insts: 4,
+            static_copies: 5,
+            strands: 6,
+            terminations: 7,
+            translated_code_bytes: 8,
+            translation_overhead: 9,
+            interpretation_overhead: 10,
+            cache_flushes: 11,
+            fragments_verified: 12,
+            verify_nanos: 13,
+            verify_rejected: 14,
+            evictions: 15,
+            smc_invalidations: 16,
+            demotions: 17,
+            blacklisted: 18,
+            fuel_preemptions: 19,
+            unlinked_sites: 20,
+            warmup_interpreted: 21,
+            translate_stall_nanos: 22,
+            translate_wall_nanos: 23,
+            warm_hits: 24,
+            warm_misses: 25,
+            warm_stores: 26,
+            store_quarantined: 27,
+            store_load_rejects: 28,
+            regions_formed: 29,
+            seam_pairs_eliminated: 30,
+            regions_verified: 31,
+            engine: EngineStats {
+                executed: 32,
+                chain_executed: 33,
+                copies_executed: 34,
+                v_insts: 35,
+                categories: cats(100),
+                dispatches: 36,
+                ras_hits: 37,
+                ras_misses: 38,
+                fragment_entries: 39,
+                region_entries: 40,
+            },
+            static_categories: cats(200),
+            oracle_categories: cats(300),
+        }
+    }
+
     fn sample() -> Snapshot {
-        let mut stats = VmStats {
-            interpreted: 123,
-            fragments: 4,
-            evictions: 2,
-            smc_invalidations: 1,
-            demotions: 3,
-            verify_rejected: 1,
-            warmup_interpreted: 60,
-            translate_stall_nanos: 1_000,
-            translate_wall_nanos: 5_000,
-            warm_hits: 2,
-            warm_misses: 1,
-            warm_stores: 3,
-            async_installs: 4,
-            async_dropped: 1,
-            pool_timeouts: 2,
-            pool_panics: 1,
-            pool_respawns: 5,
-            pool_shed: 1,
-            sync_fallbacks: 3,
-            pool_await_max_nanos: 7_000,
-            regions_formed: 2,
-            seam_pairs_eliminated: 5,
-            ..VmStats::default()
-        };
-        stats.engine.v_insts = 456;
-        stats.engine.region_entries = 77;
-        stats.engine.categories.0[0] = 9;
         Snapshot {
             program_digest: 0xDEAD_BEEF,
             v_insts: 579,
@@ -419,8 +452,15 @@ mod tests {
             translated: vec![0x1_0040],
             demotion: vec![(0x1_0080, 1)],
             smc_counts: vec![(0x1_0080, 2)],
-            stats,
+            stats: distinct_stats(),
         }
+    }
+
+    #[test]
+    fn every_stats_counter_roundtrips() {
+        let snap = sample();
+        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(back.stats, distinct_stats());
     }
 
     #[test]
@@ -459,74 +499,15 @@ mod tests {
         );
     }
 
-    /// Zeroes the fields a version-`to` payload cannot carry, then cuts
-    /// their (all-zero) serialized span out of the full-version artifact
-    /// and re-seals it as version `to`. The version-gated counters sit
-    /// between `unlinked_sites` and the engine block — i.e. at a fixed
-    /// offset from the artifact's end: checksum (8) + three category
-    /// blocks (3 × 64) + engine block (64), preceded by the bytes to
-    /// remove (the eight v2 u64s, then the six v3 u64s, then the three
-    /// v4 u64s).
-    fn downgrade(snap: &mut Snapshot, to: u8) -> Vec<u8> {
-        snap.stats.regions_formed = 0;
-        snap.stats.seam_pairs_eliminated = 0;
-        snap.stats.engine.region_entries = 0;
-        let mut cut = 3 * 8;
-        if to < 3 {
-            snap.stats.pool_timeouts = 0;
-            snap.stats.pool_panics = 0;
-            snap.stats.pool_respawns = 0;
-            snap.stats.pool_shed = 0;
-            snap.stats.sync_fallbacks = 0;
-            snap.stats.pool_await_max_nanos = 0;
-            cut += 6 * 8;
-        }
-        if to < 2 {
-            snap.stats.warmup_interpreted = 0;
-            snap.stats.translate_stall_nanos = 0;
-            snap.stats.translate_wall_nanos = 0;
-            snap.stats.warm_hits = 0;
-            snap.stats.warm_misses = 0;
-            snap.stats.warm_stores = 0;
-            snap.stats.async_installs = 0;
-            snap.stats.async_dropped = 0;
-            cut += 8 * 8;
-        }
-        let full = snap.to_bytes();
-        let cut_end = full.len() - 8 - 3 * 64 - 64;
-        let cut_start = cut_end - cut;
-        assert!(full[cut_start..cut_end].iter().all(|&b| b == 0));
-        let mut old: Vec<u8> = Vec::new();
-        old.extend_from_slice(&full[..cut_start]);
-        old.extend_from_slice(&full[cut_end..full.len() - 8]);
-        old[4] = to; // version field
-        let checksum = wire::fnv1a(&old);
-        wire::put_u64(&mut old, checksum);
-        old
-    }
-
     #[test]
-    fn version_1_payload_still_restores() {
-        let mut snap = sample();
-        let v1 = downgrade(&mut snap, 1);
-        let back = Snapshot::from_bytes(&v1).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn version_2_payload_still_restores() {
-        let mut snap = sample();
-        let v2 = downgrade(&mut snap, 2);
-        let back = Snapshot::from_bytes(&v2).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn version_3_payload_still_restores() {
-        let mut snap = sample();
-        let v3 = downgrade(&mut snap, 3);
-        let back = Snapshot::from_bytes(&v3).unwrap();
-        assert_eq!(back, snap);
+    fn version_4_snapshot_is_refused() {
+        let v5 = sample().to_bytes();
+        let (_, payload) = wire::open(SNAPSHOT_MAGIC, &v5).unwrap();
+        let v4 = wire::seal(SNAPSHOT_MAGIC, 4, payload);
+        assert_eq!(
+            Snapshot::from_bytes(&v4),
+            Err(SnapshotError::BadVersion { version: 4 })
+        );
     }
 
     #[test]

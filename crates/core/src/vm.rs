@@ -14,9 +14,6 @@ use crate::cost::CostModel;
 use crate::engine::{Engine, EngineConfig, FragExit, TraceSink};
 use crate::error::{SnapshotError, VmError};
 use crate::fragment::{FragmentId, TranslationCache};
-use crate::pipeline::{
-    translate_job, SubmitOutcome, TranslatePool, TranslateRequest, TranslateResponse,
-};
 use crate::profile::{
     collect_superblock_with_output, interp_step, Candidates, InterpEvent, ProfileConfig,
 };
@@ -25,10 +22,9 @@ use crate::snapshot::{program_digest, Snapshot};
 use crate::translate::{ChainPolicy, TranslatedCode, Translator};
 use alpha_isa::{CpuState, DecodeCache, Memory, Program, Trap};
 use ildp_uarch::{DynInst, InstClass};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Dynamo-style phase-change flushing (paper §4.1, after Dynamo): when
 /// fragment formation accelerates abruptly — the signature of a program
@@ -116,19 +112,6 @@ pub struct VmConfig {
     /// configured translator, levels ≥ 1 without the optional
     /// optimizations; `max_demotions` of 0 means interpret everything.
     pub max_demotions: u8,
-    /// Translate hot regions on the shared background worker pool
-    /// (default). Superblock collection stays on the execution thread —
-    /// architected state is identical in either mode — and the finished
-    /// fragment installs at the next fragment-boundary safe point.
-    /// `false` restores the fully synchronous pipeline (translation
-    /// stalls the guest), the mode deterministic-replay harnesses pin.
-    pub async_translate: bool,
-    /// Per-request deadline for background translation: a blocking wait
-    /// on an in-flight request ([`VmStats::pool_timeouts`]) gives up
-    /// after this long and the VM translates synchronously instead — the
-    /// upper bound on how long any VM step can block on the pool,
-    /// whatever the pool's workers are doing.
-    pub translate_timeout: Duration,
     /// Share translated-and-verified fragments through the process-wide
     /// [`FragmentStore`]: translations are published keyed by guest-code
     /// digest and translator configuration, and later VMs running the
@@ -143,13 +126,6 @@ pub struct VmConfig {
     /// to translating fresh — the policy for stores whose provenance is
     /// not trusted, e.g. loaded from disk.
     pub store_validator: Option<InstallValidator>,
-    /// Deterministic install delay, in retired V-ISA instructions:
-    /// translations complete immediately (synchronously) but install
-    /// only once the VM has retired this many further instructions —
-    /// a reproducible stand-in for background-translation latency, used
-    /// by the chaos harness's `delayed-install` sabotage cell. Takes
-    /// precedence over `async_translate`.
-    pub install_delay: Option<u64>,
     /// Source-instruction budget for a re-formed region: the promotion
     /// walk ([`EngineConfig::region_trigger`]) stops collecting
     /// constituent superblocks once the merged region would exceed this
@@ -172,11 +148,8 @@ impl Default for VmConfig {
             cache_budget: None,
             fuel: None,
             max_demotions: 2,
-            async_translate: true,
-            translate_timeout: Duration::from_secs(10),
             shared_cache: false,
             store_validator: None,
-            install_delay: None,
             region_budget: 256,
         }
     }
@@ -258,14 +231,14 @@ pub struct VmStats {
     /// [`VmStats::interp_fallback_ratio`] so the ratio reflects
     /// steady-state fallback only.
     pub warmup_interpreted: u64,
-    /// Wall nanoseconds the guest was stalled waiting on translation
-    /// (synchronous translations, plus blocking waits on an in-flight
-    /// background translation of a re-heated region).
+    /// Wall nanoseconds the guest was stalled on translation +
+    /// verification. Translation runs synchronously on the VM thread, so
+    /// this counts exactly the work [`VmStats::translate_wall_nanos`]
+    /// counts; both are kept because benchmark reports read each.
     pub translate_stall_nanos: u64,
-    /// Total wall nanoseconds of translation + verification work done on
-    /// behalf of this VM, wherever it ran. With background translation
-    /// this exceeds [`VmStats::translate_stall_nanos`] — the difference
-    /// is work the pipeline hid from the guest.
+    /// Wall nanoseconds of translation + verification work done for this
+    /// VM (superblocks and re-formed regions). Equal to
+    /// [`VmStats::translate_stall_nanos`].
     pub translate_wall_nanos: u64,
     /// Warm-start installs: fragments taken pre-translated (and
     /// pre-verified) from the shared [`FragmentStore`].
@@ -284,36 +257,6 @@ pub struct VmStats {
     /// [`StoreStats::load_rejects`](crate::StoreStats::load_rejects)),
     /// snapshotted at [`Vm::attach_store`] time.
     pub store_load_rejects: u64,
-    /// Background translations installed at a safe point.
-    pub async_installs: u64,
-    /// Background translations dropped at their safe point (stale epoch,
-    /// demoted or blacklisted region, SMC hit, validator rejection, or a
-    /// chaos-injected drop).
-    pub async_dropped: u64,
-    /// In-flight background translations that blew the
-    /// [`VmConfig::translate_timeout`] deadline; each fell back to
-    /// synchronous translation on the VM thread.
-    pub pool_timeouts: u64,
-    /// Background translations that came back as a contained worker
-    /// panic (structured `TranslateError` reply); each demoted the
-    /// region down the degradation ladder.
-    pub pool_panics: u64,
-    /// Dead pool workers respawned by supervision passes this VM's
-    /// submissions triggered. Pool-side health accounting only — a
-    /// respawn is architecturally invisible, so replay comparisons zero
-    /// it like the wall-clock counters.
-    pub pool_respawns: u64,
-    /// Submissions refused by the pool's bounded queue (backpressure);
-    /// each shed to synchronous translation instead of queueing.
-    pub pool_shed: u64,
-    /// Translations performed synchronously on the VM thread as a pool
-    /// degradation fallback (timeout or shed) — the count of times the
-    /// failure envelope's "degrade to sync" edge was actually taken.
-    pub sync_fallbacks: u64,
-    /// Longest single blocking wait on the pool, in wall nanoseconds
-    /// (bounded by [`VmConfig::translate_timeout`] plus one synchronous
-    /// translation). Wall-clock measurement: replay comparisons zero it.
-    pub pool_await_max_nanos: u64,
     /// Hot fragment chains re-formed into merged regions
     /// ([`EngineConfig::region_trigger`]).
     pub regions_formed: u64,
@@ -463,28 +406,9 @@ pub struct Vm<'p> {
     base_code_bytes: u64,
     base_evictions: u64,
     base_unlinked: u64,
-    /// The background translation pool (async mode), with the per-VM
-    /// reply channel its workers answer on.
-    pool: Option<Arc<TranslatePool>>,
-    reply_tx: Sender<TranslateResponse>,
-    reply_rx: Receiver<TranslateResponse>,
-    /// Regions whose translation is in flight on the pool, keyed by entry
-    /// V-address — the per-region dedup, plus the liveness facts captured
-    /// at submit time that the safe-point install decision re-checks.
-    in_flight: HashMap<u64, Pending>,
-    /// Monotonic source of [`TranslateRequest::token`] values for this
-    /// VM's submissions.
-    next_token: u64,
-    /// Finished translations parked until their install point (the
-    /// deterministic `install_delay` and scheduled-replay modes).
-    staged: Vec<Staged>,
-    /// Recorded install/drop schedule driving a deterministic replay of a
-    /// background-translation run; `Some` switches `translate_at` to
-    /// stage translations instead of submitting them.
-    schedule: Option<VecDeque<ScheduledOp>>,
-    /// Count-anchored install/drop events this run produced, for the
-    /// record side of record/replay.
-    bg_events: Vec<ReplayEvent>,
+    /// Count-anchored region promote/drop events this run produced, for
+    /// the record side of record/replay.
+    region_events: Vec<ReplayEvent>,
     /// The shared warm-start fragment store, when attached.
     store: Option<Arc<FragmentStore>>,
     /// Store keys of fragments this VM installed, so SMC invalidation and
@@ -500,62 +424,27 @@ pub struct Vm<'p> {
     region_banned: HashSet<u64>,
 }
 
-/// Liveness facts captured when a region's translation leaves the
-/// execution thread; the install decision re-checks them at the safe
-/// point and drops the translation if any moved. The collected
-/// superblock rides along so the deadline fallback can re-translate
-/// synchronously without re-executing the guest path.
-#[derive(Clone, Debug)]
-struct Pending {
-    level: u8,
-    epoch: u64,
-    smc: u32,
-    translator: Translator,
-    key: Option<ArtifactKey>,
-    /// Token matching this submission's eventual reply (see
-    /// [`TranslateRequest::token`]); 0 for never-submitted pendings.
-    token: u64,
-    sb: crate::Superblock,
-}
-
-/// A finished translation waiting for its install point.
-#[derive(Debug)]
-struct Staged {
-    vstart: u64,
-    /// Install at the first safe point with `v_instructions() >= anchor`
-    /// (`install_delay` mode; unused under a replay schedule).
-    anchor: u64,
-    pending: Pending,
-    code: TranslatedCode,
-    verdict: Result<(), String>,
-    verify_nanos: u64,
-}
-
-/// Which recorded background-translation outcome a [`ScheduledOp`]
-/// reproduces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum OpKind {
-    /// Install the parked translation ([`ReplayEvent::BgInstall`]).
-    Install,
-    /// Drop the parked translation ([`ReplayEvent::BgDrop`]).
-    Drop,
-    /// Deadline fallback: resolve the parked translation synchronously
-    /// ([`ReplayEvent::PoolTimeout`]).
-    Timeout,
-    /// Contained worker panic: discard the parked translation and demote
-    /// the region ([`ReplayEvent::PoolPanicReply`]).
-    PanicReply,
-    /// Backpressure shed: resolve the parked translation synchronously
-    /// ([`ReplayEvent::PoolShed`]).
-    Shed,
-}
-
-/// One recorded background-translation outcome to reproduce.
-#[derive(Clone, Copy, Debug)]
-struct ScheduledOp {
-    vstart: u64,
-    at_v_insts: u64,
-    kind: OpKind,
+/// Translates `sb` and runs the optional validator over the result.
+/// Returns the translation, the verdict, and `(wall_nanos,
+/// verify_nanos)` — total time and the validator's share of it.
+fn translate_job(
+    sb: &crate::Superblock,
+    translator: &Translator,
+    validator: Option<InstallValidator>,
+) -> (TranslatedCode, Result<(), String>, u64, u64) {
+    let t0 = Instant::now();
+    let code = translator.translate(sb);
+    let v0 = Instant::now();
+    let verdict = match validator {
+        Some(validate) => validate(&InstallReview {
+            sb,
+            code: &code,
+            translator,
+        }),
+        None => Ok(()),
+    };
+    let verify_nanos = v0.elapsed().as_nanos() as u64;
+    (code, verdict, t0.elapsed().as_nanos() as u64, verify_nanos)
 }
 
 impl<'p> Vm<'p> {
@@ -568,10 +457,6 @@ impl<'p> Vm<'p> {
             fuel: config.engine.fuel.or(config.fuel),
             ..config.engine
         };
-        let (reply_tx, reply_rx) = channel();
-        let pool = config
-            .async_translate
-            .then(|| Arc::clone(TranslatePool::global()));
         let store = config
             .shared_cache
             .then(|| Arc::clone(FragmentStore::global()));
@@ -593,14 +478,7 @@ impl<'p> Vm<'p> {
             base_code_bytes: 0,
             base_evictions: 0,
             base_unlinked: 0,
-            pool,
-            reply_tx,
-            reply_rx,
-            in_flight: HashMap::new(),
-            next_token: 0,
-            staged: Vec::new(),
-            schedule: None,
-            bg_events: Vec::new(),
+            region_events: Vec::new(),
             store,
             store_keys: HashMap::new(),
             region_src: HashMap::new(),
@@ -842,16 +720,6 @@ impl<'p> Vm<'p> {
         if self.cache.lookup(vaddr).is_some() {
             return true;
         }
-        // A finished translation is already parked for this region; keep
-        // interpreting until its install point arrives.
-        if self.staged.iter().any(|s| s.vstart == vaddr) {
-            return false;
-        }
-        // The region re-heated while its translation is in flight: the
-        // slack bound. Block on the pool rather than re-collecting.
-        if self.in_flight.contains_key(&vaddr) {
-            return self.await_in_flight(vaddr);
-        }
         let level = self.demotion.get(&vaddr).copied().unwrap_or(0);
         if level >= self.config.max_demotions {
             // Bottom of the ladder: this region stays interpreted.
@@ -868,43 +736,33 @@ impl<'p> Vm<'p> {
             Ok(sb) if !sb.is_empty() => {
                 // Collection executed the path once: count it as
                 // interpreted work (the paper's collection runs during
-                // interpretation). Counted here — identically in every
-                // pipeline mode — so async and sync runs retire the same
-                // count-anchored instruction stream. A block that ran
-                // into the guest's halt is special: the halt stays at
-                // the PC and re-raises through ordinary interpretation
-                // (which counts it and ends the run), so counting it
-                // here too would retire it twice.
+                // interpretation). A block that ran into the guest's halt
+                // is special: the halt stays at the PC and re-raises
+                // through ordinary interpretation (which counts it and
+                // ends the run), so counting it here too would retire it
+                // twice.
                 self.stats.interpreted += match sb.end {
                     crate::SbEnd::Halt => sb.len() as u64 - 1,
                     _ => sb.len() as u64,
-                };
-                let mut pending = Pending {
-                    level,
-                    epoch: self.cache.epoch(),
-                    smc: self.smc_counts.get(&vaddr).copied().unwrap_or(0),
-                    translator,
-                    key: None,
-                    token: 0,
-                    sb,
                 };
                 // Warm start: if another VM already published this exact
                 // translation, install it without translating at all. An
                 // artifact the store quarantines (or the optional
                 // re-verification refuses) degrades to a miss and the
                 // normal translate/verify path below.
+                let mut key = None;
                 if let Some(store) = self.store.clone() {
-                    let key = artifact_key(self.program, &pending.sb, &translator);
-                    pending.key = Some(key);
-                    match store.lookup(&key) {
+                    let k = artifact_key(self.program, &sb, &translator);
+                    key = Some(k);
+                    match store.lookup(&k) {
                         StoreLookup::Hit(art) => {
-                            if self.reverify_artifact(&art, &pending.sb, &translator) {
+                            if self.reverify_artifact(&art, &sb, &translator) {
                                 self.stats.warm_hits += 1;
-                                self.region_src.insert(vaddr, pending.sb);
-                                self.install_artifact(*art, key);
+                                self.region_src.insert(vaddr, sb);
+                                self.install_artifact(*art, k);
                                 return true;
                             }
-                            store.remove(&key);
+                            store.remove(&k);
                             self.stats.store_quarantined += 1;
                             self.stats.warm_misses += 1;
                         }
@@ -915,90 +773,10 @@ impl<'p> Vm<'p> {
                         }
                     }
                 }
-                if self.schedule.is_some() {
-                    // Deterministic replay of a recorded background run:
-                    // translate inline, park the result, and let the
-                    // recorded count-anchored schedule decide when (and
-                    // whether) it installs.
-                    let (code, verdict, wall, verify_nanos) =
-                        translate_job(&pending.sb, &translator, self.config.validator);
-                    self.stats.translate_wall_nanos += wall;
-                    self.staged.push(Staged {
-                        vstart: vaddr,
-                        anchor: 0,
-                        pending,
-                        code,
-                        verdict,
-                        verify_nanos,
-                    });
-                    self.candidates.reset(vaddr);
-                    return false;
-                }
-                if let Some(delay) = self.config.install_delay {
-                    let (code, verdict, wall, verify_nanos) =
-                        translate_job(&pending.sb, &translator, self.config.validator);
-                    self.stats.translate_wall_nanos += wall;
-                    self.staged.push(Staged {
-                        vstart: vaddr,
-                        anchor: self.v_instructions() + delay,
-                        pending,
-                        code,
-                        verdict,
-                        verify_nanos,
-                    });
-                    self.candidates.reset(vaddr);
-                    return false;
-                }
-                if let Some(pool) = self.pool.clone() {
-                    self.next_token += 1;
-                    pending.token = self.next_token;
-                    let request = TranslateRequest {
-                        vstart: vaddr,
-                        token: pending.token,
-                        sb: pending.sb.clone(),
-                        translator,
-                        validator: self.config.validator,
-                        reply: self.reply_tx.clone(),
-                    };
-                    match pool.submit(request) {
-                        SubmitOutcome::Queued { respawned } => {
-                            self.stats.pool_respawns += respawned;
-                            self.in_flight.insert(vaddr, pending);
-                            // Reset the counter so the region must
-                            // re-heat to reach the blocking wait above:
-                            // bounds how far the interpreter can run
-                            // ahead of a pending install.
-                            self.candidates.reset(vaddr);
-                            return false;
-                        }
-                        SubmitOutcome::Saturated { respawned, .. } => {
-                            // Backpressure: the pool handed the request
-                            // back; shed to the synchronous path rather
-                            // than queue unboundedly.
-                            self.stats.pool_respawns += respawned;
-                            self.stats.pool_shed += 1;
-                            self.bg_events.push(ReplayEvent::PoolShed {
-                                fragment_vstart: vaddr,
-                                at_v_insts: self.v_instructions(),
-                            });
-                            let (code, verdict, wall, verify_nanos) =
-                                translate_job(&pending.sb, &translator, self.config.validator);
-                            self.stats.translate_wall_nanos += wall;
-                            self.stats.translate_stall_nanos += wall;
-                            return self.resolve_sync_fallback(
-                                vaddr,
-                                pending,
-                                code,
-                                verdict,
-                                verify_nanos,
-                            );
-                        }
-                    }
-                }
-                // Synchronous pipeline: translate and verify on the
-                // execution thread — the guest stalls for all of it.
+                // Translate and verify on the execution thread — the
+                // guest stalls for all of it (paper §4.2).
                 let (code, verdict, wall, verify_nanos) =
-                    translate_job(&pending.sb, &translator, self.config.validator);
+                    translate_job(&sb, &translator, self.config.validator);
                 self.stats.translate_wall_nanos += wall;
                 self.stats.translate_stall_nanos += wall;
                 if self.config.validator.is_some() {
@@ -1024,8 +802,8 @@ impl<'p> Vm<'p> {
                         }
                     }
                 }
-                self.region_src.insert(vaddr, pending.sb);
-                self.install_translation(code, translator, pending.key);
+                self.region_src.insert(vaddr, sb);
+                self.install_translation(code, translator, key);
                 true
             }
             Ok(_) => false,
@@ -1038,8 +816,8 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Installs a translation produced by this VM (synchronously or at a
-    /// background safe point): merges its static statistics, publishes it
+    /// Installs a translation produced by this VM: merges its static
+    /// statistics, publishes it
     /// to the shared store when one is attached, installs it in the
     /// cache, and enforces the cache budget. Returns the installed
     /// fragment's id (the just-installed fragment is protected from the
@@ -1167,8 +945,8 @@ impl<'p> Vm<'p> {
     /// so a rejected merge is attempted once.
     ///
     /// Promotion is derived purely from deterministic state (the cache,
-    /// the retained superblocks, the demotion ladder), so a scheduled
-    /// replay re-derives it at the same anchor; the recorded
+    /// the retained superblocks, the demotion ladder), so a replay
+    /// re-derives it at the same anchor; the recorded
     /// [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`] pair
     /// is the witness the replay harness compares.
     fn promote_region(&mut self, head: u64) {
@@ -1290,7 +1068,7 @@ impl<'p> Vm<'p> {
         };
         if !profitable {
             self.region_banned.insert(head);
-            self.bg_events.push(ReplayEvent::RegionDrop {
+            self.region_events.push(ReplayEvent::RegionDrop {
                 fragment_vstart: head,
                 at_v_insts,
             });
@@ -1299,7 +1077,7 @@ impl<'p> Vm<'p> {
         // Profitable: now pay for the full verify gate.
         let verdict = match self.config.validator {
             Some(validate) => {
-                let v0 = std::time::Instant::now();
+                let v0 = Instant::now();
                 let verdict = validate(&InstallReview {
                     sb: &merged,
                     code: &code,
@@ -1322,7 +1100,7 @@ impl<'p> Vm<'p> {
                     // constituent fragments running untouched.
                     self.stats.verify_rejected += 1;
                     self.region_banned.insert(head);
-                    self.bg_events.push(ReplayEvent::RegionDrop {
+                    self.region_events.push(ReplayEvent::RegionDrop {
                         fragment_vstart: head,
                         at_v_insts,
                     });
@@ -1348,369 +1126,22 @@ impl<'p> Vm<'p> {
         self.cache.mark_region(id);
         self.stats.regions_formed += 1;
         self.stats.seam_pairs_eliminated += blocks.len() as u64 - 1;
-        self.bg_events.push(ReplayEvent::RegionPromote {
+        self.region_events.push(ReplayEvent::RegionPromote {
             fragment_vstart: head,
             at_v_insts,
         });
     }
 
-    /// The safe-point install decision for a finished background
-    /// translation: re-checks the liveness facts captured at submit time
-    /// and installs, or drops, accordingly. `forced_drop` reproduces a
-    /// recorded drop whose cause was outside these checks. Every outcome
-    /// is recorded as a count-anchored [`ReplayEvent`].
-    fn resolve_background(
-        &mut self,
-        vstart: u64,
-        pending: Pending,
-        code: TranslatedCode,
-        verdict: Result<(), String>,
-        verify_nanos: u64,
-        forced_drop: bool,
-    ) {
-        if self.config.validator.is_some() {
-            self.stats.verify_nanos += verify_nanos;
-            self.stats.fragments_verified += 1;
-        }
-        let at_v_insts = self.v_instructions();
-        let level_now = self.demotion.get(&vstart).copied().unwrap_or(0);
-        let smc_now = self.smc_counts.get(&vstart).copied().unwrap_or(0);
-        let stale = forced_drop
-            || self.cache.lookup(vstart).is_some()
-            || level_now != pending.level
-            || level_now >= self.config.max_demotions
-            || self.cache.epoch() != pending.epoch
-            || smc_now != pending.smc;
-        if stale {
-            self.stats.async_dropped += 1;
-            self.candidates.reset(vstart);
-            self.bg_events.push(ReplayEvent::BgDrop {
-                fragment_vstart: vstart,
-                at_v_insts,
-            });
-            return;
-        }
-        if let Err(msg) = verdict {
-            match self.config.on_violation {
-                OnViolation::Panic => panic!(
-                    "translation validator rejected fragment at {:#x}: {msg}",
-                    code.vstart
-                ),
-                OnViolation::Reject => {
-                    self.stats.verify_rejected += 1;
-                    self.demote(vstart);
-                    self.stats.async_dropped += 1;
-                    self.bg_events.push(ReplayEvent::BgDrop {
-                        fragment_vstart: vstart,
-                        at_v_insts,
-                    });
-                    return;
-                }
-            }
-        }
-        self.stats.async_installs += 1;
-        self.bg_events.push(ReplayEvent::BgInstall {
-            fragment_vstart: vstart,
-            at_v_insts,
-        });
-        self.region_src.insert(vstart, pending.sb);
-        self.install_translation(code, pending.translator, pending.key);
+    /// The count-anchored [`ReplayEvent::RegionPromote`] /
+    /// [`ReplayEvent::RegionDrop`] events recorded so far (record side of
+    /// record/replay).
+    pub fn region_events(&self) -> &[ReplayEvent] {
+        &self.region_events
     }
 
-    /// The install decision for a translation produced synchronously as a
-    /// pool degradation fallback (deadline expiry or backpressure shed).
-    /// The caller counts the fault and records its replay event first, so
-    /// a real faulted run and its scheduled replay go through this exact
-    /// code with identical inputs. Returns whether the region's fragment
-    /// is installed afterwards.
-    fn resolve_sync_fallback(
-        &mut self,
-        vstart: u64,
-        pending: Pending,
-        code: TranslatedCode,
-        verdict: Result<(), String>,
-        verify_nanos: u64,
-    ) -> bool {
-        let level_now = self.demotion.get(&vstart).copied().unwrap_or(0);
-        let smc_now = self.smc_counts.get(&vstart).copied().unwrap_or(0);
-        let stale = self.cache.lookup(vstart).is_some()
-            || level_now != pending.level
-            || level_now >= self.config.max_demotions
-            || self.cache.epoch() != pending.epoch
-            || smc_now != pending.smc;
-        if stale {
-            // The liveness facts moved between capture and the fallback
-            // (demotion, flush, SMC): discard exactly as the safe-point
-            // path would. The fault event already recorded covers the
-            // replay side; no separate BgDrop.
-            self.stats.async_dropped += 1;
-            self.candidates.reset(vstart);
-            return self.cache.lookup(vstart).is_some();
-        }
-        self.stats.sync_fallbacks += 1;
-        if self.config.validator.is_some() {
-            self.stats.verify_nanos += verify_nanos;
-            self.stats.fragments_verified += 1;
-        }
-        if let Err(msg) = verdict {
-            match self.config.on_violation {
-                OnViolation::Panic => panic!(
-                    "translation validator rejected fragment at {:#x}: {msg}",
-                    code.vstart
-                ),
-                OnViolation::Reject => {
-                    self.stats.verify_rejected += 1;
-                    self.demote(vstart);
-                    return false;
-                }
-            }
-        }
-        self.region_src.insert(vstart, pending.sb);
-        self.install_translation(code, pending.translator, pending.key);
-        true
-    }
-
-    fn handle_response(&mut self, resp: TranslateResponse) {
-        // A response whose region is no longer in flight — or whose token
-        // names a submission this VM already gave up on (deadline expiry
-        // followed by a resubmission) — was superseded: a late worker
-        // must never resolve a newer submission's pending state.
-        let current = self
-            .in_flight
-            .get(&resp.vstart)
-            .is_some_and(|p| p.token == resp.token);
-        if !current {
-            return;
-        }
-        let Some(pending) = self.in_flight.remove(&resp.vstart) else {
-            return;
-        };
-        self.stats.translate_wall_nanos += resp.wall_nanos;
-        match resp.result {
-            Ok(out) => self.resolve_background(
-                resp.vstart,
-                pending,
-                out.code,
-                out.verdict,
-                out.verify_nanos,
-                false,
-            ),
-            Err(_) => {
-                // Contained worker panic: structured reply, no usable
-                // code. Demote the region so it re-heats into a leaner
-                // tier — the same ladder a verifier rejection takes.
-                self.stats.pool_panics += 1;
-                self.demote(resp.vstart);
-                self.candidates.reset(resp.vstart);
-                self.bg_events.push(ReplayEvent::PoolPanicReply {
-                    fragment_vstart: resp.vstart,
-                    at_v_insts: self.v_instructions(),
-                });
-            }
-        }
-    }
-
-    /// Blocks until the in-flight translation for `vaddr` resolves (other
-    /// regions' replies arriving first resolve too — this is a safe
-    /// point), bounded by [`VmConfig::translate_timeout`]. The wait is
-    /// the guest-visible stall the pipeline could not hide, accounted in
-    /// [`VmStats::translate_stall_nanos`]. Deadline expiry — a dead or
-    /// wedged worker, a dropped reply — falls back to synchronous
-    /// translation of the already-collected superblock on this thread:
-    /// the pool can delay this VM step by at most the deadline, never
-    /// wedge it.
-    fn await_in_flight(&mut self, vaddr: u64) -> bool {
-        let t0 = std::time::Instant::now();
-        let deadline = t0 + self.config.translate_timeout;
-        while self.in_flight.contains_key(&vaddr) {
-            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
-                break;
-            };
-            match self.reply_rx.recv_timeout(left) {
-                Ok(resp) => self.handle_response(resp),
-                Err(_) => break,
-            }
-        }
-        let waited = t0.elapsed().as_nanos() as u64;
-        self.stats.translate_stall_nanos += waited;
-        self.stats.pool_await_max_nanos = self.stats.pool_await_max_nanos.max(waited);
-        let Some(pending) = self.in_flight.remove(&vaddr) else {
-            // The wait resolved the region (install, drop, or panic
-            // reply); whatever state that left is the answer.
-            return self.cache.lookup(vaddr).is_some();
-        };
-        // Deadline expired with the request still in flight. Abandon it
-        // (a late reply is rejected by its stale token) and translate
-        // synchronously from the superblock collected at submit time.
-        self.stats.pool_timeouts += 1;
-        self.bg_events.push(ReplayEvent::PoolTimeout {
-            fragment_vstart: vaddr,
-            at_v_insts: self.v_instructions(),
-        });
-        let (code, verdict, wall, verify_nanos) =
-            translate_job(&pending.sb, &pending.translator, self.config.validator);
-        self.stats.translate_wall_nanos += wall;
-        self.stats.translate_stall_nanos += wall;
-        self.resolve_sync_fallback(vaddr, pending, code, verdict, verify_nanos)
-    }
-
-    /// The top-of-loop safe point: drains finished background
-    /// translations, and resolves parked translations whose install point
-    /// (recorded schedule, or deterministic delay anchor) has arrived.
-    fn service_background(&mut self) {
-        while let Ok(resp) = self.reply_rx.try_recv() {
-            self.handle_response(resp);
-        }
-        if self.schedule.is_some() {
-            let now = self.v_instructions();
-            // Pop-then-apply, with the pop itself deciding readiness: no
-            // unwrap on the queue, which an applied op may have replaced.
-            loop {
-                let op = self.schedule.as_mut().and_then(|q| match q.front() {
-                    Some(front) if front.at_v_insts <= now => q.pop_front(),
-                    _ => None,
-                });
-                let Some(op) = op else { break };
-                self.apply_scheduled_op(op);
-            }
-        } else if self.config.install_delay.is_some() {
-            let now = self.v_instructions();
-            while let Some(i) = self.staged.iter().position(|s| s.anchor <= now) {
-                let s = self.staged.remove(i);
-                self.resolve_background(
-                    s.vstart,
-                    s.pending,
-                    s.code,
-                    s.verdict,
-                    s.verify_nanos,
-                    false,
-                );
-            }
-        }
-    }
-
-    /// Replays one recorded background-translation outcome at its anchor.
-    fn apply_scheduled_op(&mut self, op: ScheduledOp) {
-        let staged = self
-            .staged
-            .iter()
-            .position(|s| s.vstart == op.vstart)
-            .map(|i| self.staged.remove(i));
-        match op.kind {
-            OpKind::Install | OpKind::Drop => {
-                // An op with no parked translation refers to a region a
-                // replayed chaos event already disposed of.
-                let Some(s) = staged else { return };
-                self.resolve_background(
-                    s.vstart,
-                    s.pending,
-                    s.code,
-                    s.verdict,
-                    s.verify_nanos,
-                    op.kind == OpKind::Drop,
-                );
-            }
-            OpKind::Timeout | OpKind::Shed => {
-                // Reproduce the recorded degradation: count the fault and
-                // its event, then resolve the parked translation through
-                // the same synchronous-fallback decision the real run
-                // took.
-                let event_vstart = op.vstart;
-                let at_v_insts = self.v_instructions();
-                if op.kind == OpKind::Timeout {
-                    self.stats.pool_timeouts += 1;
-                    self.bg_events.push(ReplayEvent::PoolTimeout {
-                        fragment_vstart: event_vstart,
-                        at_v_insts,
-                    });
-                } else {
-                    self.stats.pool_shed += 1;
-                    self.bg_events.push(ReplayEvent::PoolShed {
-                        fragment_vstart: event_vstart,
-                        at_v_insts,
-                    });
-                }
-                if let Some(s) = staged {
-                    self.resolve_sync_fallback(
-                        s.vstart,
-                        s.pending,
-                        s.code,
-                        s.verdict,
-                        s.verify_nanos,
-                    );
-                }
-            }
-            OpKind::PanicReply => {
-                // The parked translation stands in for the code the
-                // panicked worker never produced: discard it and demote,
-                // exactly as the live reply handler does.
-                drop(staged);
-                self.stats.pool_panics += 1;
-                self.demote(op.vstart);
-                self.candidates.reset(op.vstart);
-                self.bg_events.push(ReplayEvent::PoolPanicReply {
-                    fragment_vstart: op.vstart,
-                    at_v_insts: self.v_instructions(),
-                });
-            }
-        }
-    }
-
-    /// Switches the VM to deterministic scheduled-install mode, replaying
-    /// the background install/drop/fault decisions recorded in `events`
-    /// ([`ReplayEvent::BgInstall`] / [`ReplayEvent::BgDrop`] /
-    /// [`ReplayEvent::PoolTimeout`] / [`ReplayEvent::PoolPanicReply`] /
-    /// [`ReplayEvent::PoolShed`], anchored on [`Vm::v_instructions`]).
-    /// Translations are performed inline at collection time but resolve
-    /// only when their recorded anchor is reached, in recorded order —
-    /// reproducing an asynchronous run (including its pool faults)
-    /// bit-identically on a synchronous VM.
-    pub fn set_install_schedule(&mut self, events: &[ReplayEvent]) {
-        let ops = events
-            .iter()
-            .filter_map(|e| {
-                let (vstart, at_v_insts, kind) = match *e {
-                    ReplayEvent::BgInstall {
-                        fragment_vstart,
-                        at_v_insts,
-                    } => (fragment_vstart, at_v_insts, OpKind::Install),
-                    ReplayEvent::BgDrop {
-                        fragment_vstart,
-                        at_v_insts,
-                    } => (fragment_vstart, at_v_insts, OpKind::Drop),
-                    ReplayEvent::PoolTimeout {
-                        fragment_vstart,
-                        at_v_insts,
-                    } => (fragment_vstart, at_v_insts, OpKind::Timeout),
-                    ReplayEvent::PoolPanicReply {
-                        fragment_vstart,
-                        at_v_insts,
-                    } => (fragment_vstart, at_v_insts, OpKind::PanicReply),
-                    ReplayEvent::PoolShed {
-                        fragment_vstart,
-                        at_v_insts,
-                    } => (fragment_vstart, at_v_insts, OpKind::Shed),
-                    _ => return None,
-                };
-                Some(ScheduledOp {
-                    vstart,
-                    at_v_insts,
-                    kind,
-                })
-            })
-            .collect();
-        self.schedule = Some(ops);
-    }
-
-    /// The count-anchored background install/drop events recorded so far
-    /// (record side of record/replay).
-    pub fn bg_events(&self) -> &[ReplayEvent] {
-        &self.bg_events
-    }
-
-    /// Drains the recorded background events (see [`Vm::bg_events`]).
-    pub fn take_bg_events(&mut self) -> Vec<ReplayEvent> {
-        std::mem::take(&mut self.bg_events)
+    /// Drains the recorded region events (see [`Vm::region_events`]).
+    pub fn take_region_events(&mut self) -> Vec<ReplayEvent> {
+        std::mem::take(&mut self.region_events)
     }
 
     /// Attaches a shared warm-start fragment store (see
@@ -1724,32 +1155,6 @@ impl<'p> Vm<'p> {
         self.store = Some(store);
     }
 
-    /// Attaches a translation pool, enabling background translation even
-    /// if [`VmConfig::async_translate`] was off at construction.
-    pub fn attach_pool(&mut self, pool: Arc<TranslatePool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Entry V-addresses of translations parked for a later install point
-    /// (fault-injection harnesses pick drop victims from these).
-    pub fn staged_vstarts(&self) -> Vec<u64> {
-        self.staged.iter().map(|s| s.vstart).collect()
-    }
-
-    /// Drops a parked translation before it installs (chaos injection:
-    /// the translation that never arrives). Returns whether one was
-    /// parked for `vstart`. The region's profile counter resets so it can
-    /// re-heat.
-    pub fn drop_staged(&mut self, vstart: u64) -> bool {
-        let Some(i) = self.staged.iter().position(|s| s.vstart == vstart) else {
-            return false;
-        };
-        self.staged.remove(i);
-        self.stats.async_dropped += 1;
-        self.candidates.reset(vstart);
-        true
-    }
-
     /// Runs until halt, trap, or `budget` V-ISA instructions.
     ///
     /// Monomorphized over the sink (see [`TraceSink::TRACING`]): running
@@ -1757,9 +1162,6 @@ impl<'p> Vm<'p> {
     /// engine's hot loop.
     pub fn run<S: TraceSink>(&mut self, budget: u64, sink: &mut S) -> VmExit {
         loop {
-            // Fragment-boundary safe point: architected state is complete
-            // here, so finished background translations install now.
-            self.service_background();
             if self.v_instructions() >= budget {
                 self.finish_overheads();
                 return VmExit::Budget;
@@ -2178,74 +1580,17 @@ mod tests {
         assert_eq!(exit, VmExit::Budget);
     }
 
-    fn sync_config() -> VmConfig {
-        VmConfig {
-            async_translate: false,
-            ..VmConfig::default()
-        }
-    }
-
-    #[test]
-    fn async_pipeline_matches_sync_architecturally() {
-        let program = loop_program(800);
-        let mut sync_vm = Vm::new(sync_config(), &program);
-        assert_eq!(sync_vm.run(100_000, &mut NullSink), VmExit::Halted);
-        let mut async_vm = Vm::new(VmConfig::default(), &program);
-        assert_eq!(async_vm.run(100_000, &mut NullSink), VmExit::Halted);
-        assert_eq!(async_vm.cpu().registers(), sync_vm.cpu().registers());
-        assert_eq!(
-            async_vm.memory().content_digest(),
-            sync_vm.memory().content_digest()
-        );
-        assert_eq!(async_vm.output(), sync_vm.output());
-        assert_eq!(async_vm.v_instructions(), sync_vm.v_instructions());
-        assert!(
-            async_vm.stats().fragments > 0,
-            "the hot loop must still get translated in the background"
-        );
-        assert_eq!(
-            async_vm.stats().async_installs,
-            async_vm.stats().fragments,
-            "every async fragment installs through the safe-point path"
-        );
-    }
-
-    #[test]
-    fn delayed_install_parks_translations_until_anchor() {
-        let program = loop_program(800);
-        let config = VmConfig {
-            install_delay: Some(200),
-            ..sync_config()
-        };
-        let mut vm = Vm::new(config, &program);
-        assert_eq!(vm.run(100_000, &mut NullSink), VmExit::Halted);
-        let mut reference = Vm::new(sync_config(), &program);
-        assert_eq!(reference.run(100_000, &mut NullSink), VmExit::Halted);
-        assert_eq!(vm.cpu().registers(), reference.cpu().registers());
-        assert_eq!(vm.v_instructions(), reference.v_instructions());
-        assert!(vm.stats().fragments > 0, "delayed installs must land");
-        assert_eq!(vm.stats().async_installs, vm.stats().fragments);
-        // Every install was recorded as a count-anchored event.
-        assert_eq!(
-            vm.bg_events()
-                .iter()
-                .filter(|e| matches!(e, ReplayEvent::BgInstall { .. }))
-                .count() as u64,
-            vm.stats().async_installs
-        );
-    }
-
     #[test]
     fn warm_start_reuses_published_fragments() {
         let program = loop_program(800);
         let store = Arc::new(FragmentStore::new());
-        let mut cold = Vm::new(sync_config(), &program);
+        let mut cold = Vm::new(VmConfig::default(), &program);
         cold.attach_store(Arc::clone(&store));
         assert_eq!(cold.run(100_000, &mut NullSink), VmExit::Halted);
         assert!(cold.stats().warm_stores > 0, "cold VM must publish");
         assert_eq!(cold.stats().warm_hits, 0);
 
-        let mut warm = Vm::new(sync_config(), &program);
+        let mut warm = Vm::new(VmConfig::default(), &program);
         warm.attach_store(Arc::clone(&store));
         assert_eq!(warm.run(100_000, &mut NullSink), VmExit::Halted);
         assert_eq!(warm.cpu().registers(), cold.cpu().registers());
@@ -2262,31 +1607,5 @@ mod tests {
             0,
             "warm start must not pay translation overhead"
         );
-    }
-
-    #[test]
-    fn recorded_async_run_replays_bit_identically() {
-        let program = loop_program(800);
-        let mut recorded = Vm::new(VmConfig::default(), &program);
-        assert_eq!(recorded.run(100_000, &mut NullSink), VmExit::Halted);
-        let events = recorded.take_bg_events();
-
-        let mut replayed = Vm::new(sync_config(), &program);
-        replayed.set_install_schedule(&events);
-        assert_eq!(replayed.run(100_000, &mut NullSink), VmExit::Halted);
-        assert_eq!(replayed.cpu().registers(), recorded.cpu().registers());
-        assert_eq!(replayed.v_instructions(), recorded.v_instructions());
-        // The replay reproduces the recorded decisions exactly.
-        assert_eq!(replayed.bg_events(), events.as_slice());
-        let mut a = recorded.stats().clone();
-        let mut b = replayed.stats().clone();
-        for s in [&mut a, &mut b] {
-            s.verify_nanos = 0;
-            s.translate_stall_nanos = 0;
-            s.translate_wall_nanos = 0;
-            s.pool_await_max_nanos = 0;
-            s.pool_respawns = 0;
-        }
-        assert_eq!(a, b, "stats must be bit-identical modulo wall clocks");
     }
 }

@@ -22,7 +22,6 @@ fn populate(widx: usize, form: IsaForm, chain: ChainPolicy) -> Arc<FragmentStore
             chain,
             ..Translator::default()
         },
-        async_translate: false,
         ..VmConfig::default()
     };
     let store = Arc::new(FragmentStore::new());
