@@ -3,9 +3,8 @@
 //! monomorphized run loop with tracing compiled out versus a tracing
 //! sink.
 //!
-//! See DESIGN.md "Execution fast path" and BENCH_engine.json (produced
-//! by the `perfstat` binary) for end-to-end numbers on the workload
-//! suite.
+//! See DESIGN.md "Execution fast path"; end-to-end numbers on the
+//! workload suite come from the `perfbench` benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ildp_core::{ChainPolicy, NullSink, TraceSink, Translator, Vm, VmConfig};

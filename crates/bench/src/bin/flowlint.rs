@@ -10,7 +10,11 @@
 //!    sample of the retired-instruction trace is cross-checked against
 //!    the static summaries (`flow::check_dynamic`: F06). Must be
 //!    violation-free, and prints the per-cell seam opportunity report
-//!    (dead/redundant cross-fragment communication).
+//!    (dead/redundant cross-fragment communication). In the Modified
+//!    form (every chain policy) that report is gated too: any dead
+//!    copy-out or redundant seam pair is erasable copy traffic region
+//!    re-formation failed to claim, and fails the cell. Basic-form cells
+//!    report theirs ungated — copy-out seam traffic is expected there.
 //! 2. **Seeded detection**: every F01–F06 seeded miscompile from the
 //!    shared corpus (`ildp_bench::miscompile`) must be detected by the
 //!    rule that owns it.
@@ -81,6 +85,27 @@ fn run_cell(
     (violations, seam)
 }
 
+/// Everything that fails one matrix cell: its flow violations, plus — in
+/// the Modified form — the steady-state seam gate.
+fn cell_failures(form: IsaForm, violations: &[Violation], seam: &FlowReport) -> Vec<String> {
+    let mut details: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    if form == IsaForm::Modified {
+        if seam.redundant_seam_pairs > 0 {
+            details.push(format!(
+                "{} redundant seam pairs in the steady-state cache (want 0)",
+                seam.redundant_seam_pairs
+            ));
+        }
+        if seam.dead_copy_outs > 0 {
+            details.push(format!(
+                "{} dead copy-outs in the steady-state cache (want 0)",
+                seam.dead_copy_outs
+            ));
+        }
+    }
+    details
+}
+
 fn print_cell(spec: &str, violations: &[Violation], seam: &FlowReport) {
     println!(
         "{spec:<40} {:>4} fragments {:>4} edges  dead {:>3} redundant {:>3}  {:>3} violations",
@@ -115,11 +140,9 @@ fn main() {
         println!("flowlint: re-running cell {spec}");
         let (violations, seam) = run_cell(&workload, form, chain);
         print_cell(spec, &violations, &seam);
-        if !violations.is_empty() {
-            report.fail(
-                spec.clone(),
-                violations.iter().map(|v| v.to_string()).collect(),
-            );
+        let details = cell_failures(form, &violations, &seam);
+        if !details.is_empty() {
+            report.fail(spec.clone(), details);
         }
         report.finish_or_exit();
         return;
@@ -140,8 +163,9 @@ fn main() {
                 let (violations, seam) = run_cell(w, form, chain);
                 total.merge(&seam);
                 print_cell(&spec, &violations, &seam);
-                if !violations.is_empty() {
-                    report.fail(spec, violations.iter().map(|v| v.to_string()).collect());
+                let details = cell_failures(form, &violations, &seam);
+                if !details.is_empty() {
+                    report.fail(spec, details);
                 }
             }
         }

@@ -15,7 +15,6 @@ pub mod miscompile;
 pub mod report;
 pub mod runners;
 pub mod store;
-pub mod throughput;
 pub mod triage;
 
 pub use report::*;

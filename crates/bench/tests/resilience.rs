@@ -7,8 +7,8 @@
 use alpha_isa::parse_program;
 use ildp_bench::chaos::{chaos_cell, interp_reference};
 use ildp_core::{
-    ChainPolicy, FlushPolicy, InstallReview, NullSink, OnViolation, ProfileConfig, Translator, Vm,
-    VmConfig, VmExit,
+    ChainPolicy, EngineConfig, FlushPolicy, InstallReview, NullSink, OnViolation, ProfileConfig,
+    Translator, Vm, VmConfig, VmExit,
 };
 use ildp_isa::IsaForm;
 use ildp_verifier::verify_installed;
@@ -176,7 +176,10 @@ fn fuel_preemption_degrades_and_stays_correct() {
     let w = spec_workloads::by_name("gzip", 1).unwrap();
     let reference = interp_reference(&w.program, w.budget * 2).unwrap();
     let config = VmConfig {
-        fuel: Some(100),
+        engine: EngineConfig {
+            fuel: Some(100),
+            ..EngineConfig::default()
+        },
         ..base_config(IsaForm::Modified)
     };
     let mut vm = Vm::new(config, &w.program);

@@ -3,11 +3,13 @@
 //! survive the save→load merge, and concurrent writers that union
 //! rather than clobber.
 
-use ildp_bench::store::{pretranslate_cell, run_cell_against_store};
+use ildp_bench::lint::{ALL_CHAINS, ALL_FORMS};
+use ildp_bench::store::{pretranslate_cell, run_cell_against_store, WarmOutcome};
 use ildp_core::{
     ChainPolicy, FragmentArtifact, FragmentStore, NullSink, Translator, Vm, VmConfig, VmExit,
 };
 use ildp_isa::IsaForm;
+use ildp_verifier::{collecting_validator, take_report};
 use spec_workloads::suite;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -161,26 +163,61 @@ fn concurrent_saves_union_under_the_advisory_lock() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store written by a separate `pretranslate` process boots every
+/// (workload × form × chain) cell in this one: the file is the only
+/// thing the two processes share, every fragment is served from it with
+/// re-verification on, and nothing is translated, verified afresh or
+/// quarantined.
 #[test]
 fn saved_store_boots_a_cold_vm_without_retranslation() {
     let dir = scratch("boot");
     let path = dir.join("store.bin");
-    let w = &suite(1)[0];
-    let (form, chain) = (IsaForm::Modified, ChainPolicy::SwPredDualRas);
-    let store = Arc::new(FragmentStore::new());
-    pretranslate_cell(&store, w, form, chain).expect("pretranslation");
-    store.save(&path).expect("save");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pretranslate"))
+        .arg("--out")
+        .arg(&path)
+        .env("ILDP_SCALE", "1")
+        .output()
+        .expect("spawning pretranslate");
+    assert!(
+        out.status.success(),
+        "pretranslate exited {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-    // A brand-new store object from the file — the moral equivalent of a
-    // fresh process — must serve every fragment, re-verified.
-    let (cold, report) = FragmentStore::open(&path);
-    assert!(report.seal_intact && report.rejected == 0 && report.error.is_none());
-    let cold = Arc::new(cold);
-    let out = run_cell_against_store(w, form, chain, &cold, true).expect("warm differential");
-    assert!(out.warm_hits > 0);
-    assert_eq!(out.warm_misses, 0);
-    assert_eq!(out.store_quarantined, 0);
-    assert_eq!(out.fragments_verified, 0);
+    let (store, report) = FragmentStore::open(&path);
+    assert!(
+        !report.missing
+            && !report.version_skew
+            && report.seal_intact
+            && report.rejected == 0
+            && report.error.is_none(),
+        "store did not open clean: {report:?}"
+    );
+    let store = Arc::new(store);
+    let mut total = WarmOutcome::default();
+    for w in &suite(1) {
+        for form in ALL_FORMS {
+            for chain in ALL_CHAINS {
+                let o = run_cell_against_store(w, form, chain, &store, true)
+                    .unwrap_or_else(|e| panic!("warm differential: {e}"));
+                total.warm_hits += o.warm_hits;
+                total.warm_misses += o.warm_misses;
+                total.store_quarantined += o.store_quarantined;
+                total.fragments_verified += o.fragments_verified;
+            }
+        }
+    }
+    assert!(
+        total.warm_hits > 0,
+        "no cell took a fragment from the store"
+    );
+    assert_eq!(total.warm_misses, 0, "cells retranslated: {total:?}");
+    assert_eq!(
+        total.store_quarantined, 0,
+        "clean store quarantined: {total:?}"
+    );
+    assert_eq!(total.fragments_verified, 0, "cells re-verified: {total:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -199,29 +236,46 @@ fn config(form: IsaForm) -> VmConfig {
 /// A VM warm-started from a shared store — and the cold VM that filled
 /// it — must reach the exact final architected state of a store-less
 /// VM: all 32 GPRs, memory contents, console output and retired
-/// V-instruction count.
+/// V-instruction count. Both carry the install validator, so the warm
+/// VM's verify count is real: it must miss nothing in the store and
+/// verify nothing but its own (never published) regions.
 #[test]
 fn warm_start_is_architecturally_invisible() {
     for w in suite(1) {
         let form = IsaForm::Modified;
         let what = format!("{} warm start", w.name);
         let budget = w.budget * 2;
+        let verified = VmConfig {
+            validator: Some(collecting_validator),
+            ..config(form)
+        };
 
         let mut reference = Vm::new(config(form), &w.program);
         assert_eq!(reference.run(budget, &mut NullSink), VmExit::Halted);
 
         let store = Arc::new(FragmentStore::new());
-        let mut cold = Vm::new(config(form), &w.program);
+        let mut cold = Vm::new(verified, &w.program);
         cold.attach_store(Arc::clone(&store));
         assert_eq!(cold.run(budget, &mut NullSink), VmExit::Halted);
+        let violations = take_report();
+        assert!(violations.is_empty(), "{what}: cold run: {violations:?}");
 
-        let mut warm = Vm::new(config(form), &w.program);
+        let mut warm = Vm::new(verified, &w.program);
         warm.attach_store(Arc::clone(&store));
         assert_eq!(warm.run(budget, &mut NullSink), VmExit::Halted);
+        let st = warm.stats();
         assert!(
-            warm.stats().warm_hits > 0 || cold.stats().warm_stores == 0,
+            st.warm_hits > 0 || cold.stats().warm_stores == 0,
             "{what}: store populated but never hit"
         );
+        assert_eq!(st.warm_misses, 0, "{what}: warm VM retranslated");
+        assert_eq!(
+            st.fragments_verified - st.regions_verified,
+            0,
+            "{what}: warm VM re-verified store fragments"
+        );
+        let violations = take_report();
+        assert!(violations.is_empty(), "{what}: warm run: {violations:?}");
         for (vm, label) in [(&cold, "cold"), (&warm, "warm")] {
             assert_eq!(
                 vm.cpu().registers(),

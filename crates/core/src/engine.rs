@@ -165,7 +165,8 @@ pub struct EngineConfig {
     pub align: AlignPolicy,
     /// Watchdog fuel: the maximum V-ISA instructions one [`Engine::run`]
     /// dispatch may retire before being preempted at the next fragment
-    /// boundary ([`FragExit::Preempted`]). `None` disables the watchdog.
+    /// boundary ([`FragExit::Preempted`]); the VM then demotes the
+    /// dispatch's entry region. `None` disables the watchdog.
     pub fuel: Option<u64>,
     /// Fragment-entry count at which the engine surfaces
     /// [`FragExit::RegionHot`] so the VM can re-form a region around the

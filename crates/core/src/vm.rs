@@ -102,21 +102,11 @@ pub struct VmConfig {
     /// clock-evicts cold fragments ([`VmStats::evictions`]). `None` keeps
     /// the unbounded cache the paper assumes.
     pub cache_budget: Option<u64>,
-    /// Optional per-dispatch watchdog fuel in V-ISA instructions: an
-    /// engine dispatch retiring more is preempted at the next fragment
-    /// boundary and its entry region demoted. `None` disables the
-    /// watchdog.
-    pub fuel: Option<u64>,
     /// Degradation-ladder depth: how many demotions a region takes before
     /// it is blacklisted to interpret-only. Level 0 translates with the
     /// configured translator, levels ≥ 1 without the optional
     /// optimizations; `max_demotions` of 0 means interpret everything.
     pub max_demotions: u8,
-    /// Share translated-and-verified fragments through the process-wide
-    /// [`FragmentStore`]: translations are published keyed by guest-code
-    /// digest and translator configuration, and later VMs running the
-    /// same code warm-start from the store instead of re-translating.
-    pub shared_cache: bool,
     /// Optional re-verification of warm-start artifacts before install:
     /// when set, every fragment taken from the shared [`FragmentStore`]
     /// is rehydrated and run through this validator first (the
@@ -146,9 +136,7 @@ impl Default for VmConfig {
             validator: None,
             on_violation: OnViolation::default(),
             cache_budget: None,
-            fuel: None,
             max_demotions: 2,
-            shared_cache: false,
             store_validator: None,
             region_budget: 256,
         }
@@ -451,15 +439,6 @@ impl<'p> Vm<'p> {
     /// Creates a VM with the program loaded and the PC at its entry.
     pub fn new(config: VmConfig, program: &'p Program) -> Vm<'p> {
         let (cpu, mem) = program.load();
-        // The VmConfig-level fuel knob flows into the engine config; an
-        // explicit EngineConfig::fuel wins if both are set.
-        let engine_config = EngineConfig {
-            fuel: config.engine.fuel.or(config.fuel),
-            ..config.engine
-        };
-        let store = config
-            .shared_cache
-            .then(|| Arc::clone(FragmentStore::global()));
         Vm {
             config,
             program,
@@ -468,7 +447,7 @@ impl<'p> Vm<'p> {
             mem,
             candidates: Candidates::new(),
             cache: TranslationCache::new(),
-            engine: Engine::new(engine_config),
+            engine: Engine::new(config.engine),
             stats: VmStats::default(),
             recent_fragments: Vec::new(),
             window_epoch: 0,
@@ -479,7 +458,7 @@ impl<'p> Vm<'p> {
             base_evictions: 0,
             base_unlinked: 0,
             region_events: Vec::new(),
-            store,
+            store: None,
             store_keys: HashMap::new(),
             region_src: HashMap::new(),
             region_banned: HashSet::new(),
@@ -1144,9 +1123,9 @@ impl<'p> Vm<'p> {
         std::mem::take(&mut self.region_events)
     }
 
-    /// Attaches a shared warm-start fragment store (see
-    /// [`VmConfig::shared_cache`], which attaches the process-global one).
-    /// Must be called before the run starts translating.
+    /// Attaches a shared warm-start fragment store — the one way VMs share
+    /// translations: hand the same `Arc` to every VM that should reuse
+    /// them. Must be called before the run starts translating.
     pub fn attach_store(&mut self, store: Arc<FragmentStore>) {
         // Damage observed while the store was opened from disk becomes
         // visible on this VM's stats: it bounds how much warm start the

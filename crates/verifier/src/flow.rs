@@ -49,8 +49,8 @@
 //! exits) it assumes **all registers live**, so its only outputs are the
 //! conservative per-seam *optimization opportunity* counts in
 //! [`FlowReport`]: provably dead copy-outs and redundant copy-out/copy-in
-//! pairs across resolved seams, the facts region re-formation (ROADMAP
-//! item 5) will consume.
+//! pairs across resolved seams, the facts region re-formation
+//! (DESIGN.md §12) consumes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -400,7 +400,7 @@ fn live_out_of(
 }
 
 /// Machine-readable per-seam optimization-opportunity report — the facts
-/// a region re-formation tier would consume (ROADMAP item 5). All counts
+/// the region re-formation tier consumes (DESIGN.md §12). All counts
 /// are conservative under-approximations: a copy is only called dead when
 /// every path from it stays inside the resolved chain graph and redefines
 /// the register before any use.
@@ -438,24 +438,6 @@ impl FlowReport {
         self.dead_copy_outs += other.dead_copy_outs;
         self.redundant_seam_pairs += other.redundant_seam_pairs;
         self.region_fragments += other.region_fragments;
-    }
-
-    /// Renders the counts as a JSON object fragment (no surrounding
-    /// braces), for embedding in the lint/perfstat reports.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"fragments\":{},\"resolved_edges\":{},\"boundary_exits\":{},\
-             \"copy_ins\":{},\"copy_outs\":{},\"dead_copy_outs\":{},\
-             \"redundant_seam_pairs\":{},\"region_fragments\":{}",
-            self.fragments,
-            self.resolved_edges,
-            self.boundary_exits,
-            self.copy_ins,
-            self.copy_outs,
-            self.dead_copy_outs,
-            self.redundant_seam_pairs,
-            self.region_fragments,
-        )
     }
 }
 
