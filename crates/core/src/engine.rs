@@ -12,7 +12,9 @@
 
 use crate::classify::{CategoryCounts, UsageCat};
 use crate::error::VmError;
-use crate::fragment::{FragmentId, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR};
+use crate::fragment::{
+    FragmentId, RetireSums, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
+};
 use alpha_isa::{AlignPolicy, CpuState, JumpKind, Memory, Reg, Trap};
 use ildp_isa::{ASrc, Acc, IInst, ITarget, MemWidth};
 use ildp_uarch::{DynInst, InstClass};
@@ -206,6 +208,52 @@ struct RasEntry {
     i: u64,
     link: Option<FragmentId>,
     epoch: u64,
+}
+
+/// Retirement bookkeeping for the fragment [`Engine::run`] is executing.
+///
+/// Inside a fragment `idx` only moves forward, so the instructions a pass
+/// executes are exactly `start..end` and their statistics are one
+/// difference of the fragment's [`retire_prefix`] table. A pass ends at
+/// every self-transfer and at every exit from the fragment.
+///
+/// [`retire_prefix`]: crate::Fragment::retire_prefix
+struct Pass {
+    /// Index the current pass began at: 0 on entry, the resume index
+    /// after a self-transfer.
+    start: usize,
+    /// Self-transfer entries not yet added to the fragment's counter.
+    entries: u64,
+}
+
+impl Pass {
+    /// Charges the pass `start..end` to `stats`.
+    #[inline]
+    fn charge(&self, stats: &mut EngineStats, prefix: &[RetireSums], end: usize) {
+        let (from, to) = (&prefix[self.start], &prefix[end]);
+        stats.executed += (end - self.start) as u64;
+        stats.v_insts += u64::from(to.vcount - from.vcount);
+        stats.chain_executed += u64::from(to.chain - from.chain);
+        stats.copies_executed += u64::from(to.copies - from.copies);
+        for k in 0..UsageCat::COUNT {
+            stats.categories.0[k] += u64::from(to.categories[k] - from.categories[k]);
+        }
+    }
+
+    /// Leaves the fragment: charges the last pass, which ends before
+    /// index `end`, and books the batched self-transfer entries.
+    #[inline]
+    fn finish(
+        self,
+        stats: &mut EngineStats,
+        cache: &mut TranslationCache,
+        fid: FragmentId,
+        end: usize,
+    ) {
+        let f = cache.fragment_mut(fid);
+        f.entries += self.entries;
+        self.charge(stats, &f.retire_prefix, end);
+    }
 }
 
 /// The fragment execution engine. See the module documentation.
@@ -409,42 +457,30 @@ impl Engine {
             let metas = &frag.meta.as_slice()[..insts.len()];
             let links = &frag.links.as_slice()[..insts.len()];
             let templates = frag.templates.as_slice();
+            let prefix = &frag.retire_prefix.as_slice()[..=insts.len()];
             // Self-transfers (a fragment branching back to its own head,
             // the shape every re-formed loop region resolves to) restart
             // the instruction loop below without re-entering `'fragment`;
-            // their entry bookkeeping is batched here and flushed into the
+            // their entries are batched in `pass` and flushed into the
             // fragment's counter at every exit from the loop.
-            let mut pending_entries: u64 = 0;
+            let mut pass = Pass {
+                start: 0,
+                entries: 0,
+            };
             // Resume index for self-transfers: past the leading
             // `set-vpc-base` (always emitted first), which only re-asserts
             // the base address a self-loop already has.
             let loop_entry = usize::from(matches!(insts.first(), Some(IInst::SetVpcBase { .. })));
-            // Retirement counters accumulate in locals — per-instruction
-            // read-modify-writes through `self.stats` cannot stay in
-            // registers across the `&self` helper calls below — and are
-            // flushed into the statistics at every exit from this loop,
-            // alongside `pending_entries`.
-            let mut executed_l: u64 = 0;
-            let mut v_insts_l: u64 = 0;
-            let mut chain_l: u64 = 0;
-            let mut cats_l = CategoryCounts::default();
             let mut idx: usize = 0;
             loop {
                 let Some(&inst) = insts.get(idx) else {
                     // Ran off the fragment's end without a block terminal —
                     // only reachable through corruption.
-                    if pending_entries != 0 {
-                        cache.fragment_mut(fid).entries += pending_entries;
-                    }
-                    self.stats.executed += executed_l;
-                    self.stats.v_insts += v_insts_l;
-                    self.stats.chain_executed += chain_l;
-                    self.stats.categories.merge(&cats_l);
+                    pass.finish(&mut self.stats, cache, fid, idx);
                     return FragExit::Fault {
                         error: VmError::FragmentOverrun { fragment: fid.0 },
                     };
                 };
-                let meta = metas[idx];
                 let link = links[idx];
 
                 // The install-time template carries every static record field;
@@ -455,15 +491,6 @@ impl Engine {
                 } else {
                     DynInst::alu(0, 0)
                 };
-
-                executed_l += 1;
-                v_insts_l += meta.vcount as u64;
-                if meta.is_chain {
-                    chain_l += 1;
-                }
-                if let Some(cat) = meta.category {
-                    cats_l.bump(cat);
-                }
 
                 // Control decision made while executing; `None` means fall
                 // through to idx + 1.
@@ -534,7 +561,7 @@ impl Engine {
                         match check_align(a, width, self.config.align) {
                             Err(trap) => {
                                 exit = Some(FragExit::Trap {
-                                    vaddr: meta.vaddr,
+                                    vaddr: metas[idx].vaddr,
                                     trap,
                                     state: self.recover_state(cache, fid, idx as u32, cpu),
                                 });
@@ -567,7 +594,7 @@ impl Engine {
                         match check_align(a, width, self.config.align) {
                             Err(trap) => {
                                 exit = Some(FragExit::Trap {
-                                    vaddr: meta.vaddr,
+                                    vaddr: metas[idx].vaddr,
                                     trap,
                                     state: self.recover_state(cache, fid, idx as u32, cpu),
                                 });
@@ -577,25 +604,19 @@ impl Engine {
                                 if cache.smc_hit(a, len) {
                                     // Self-modifying code: surface the store
                                     // *before* it executes, with precise state
-                                    // (the store's recovery table), and roll
-                                    // back its retirement accounting — the VM
-                                    // re-runs it interpretively after
-                                    // invalidating the affected fragments.
-                                    executed_l -= 1;
-                                    v_insts_l -= meta.vcount as u64;
-                                    if pending_entries != 0 {
-                                        cache.fragment_mut(fid).entries += pending_entries;
-                                    }
-                                    self.stats.executed += executed_l;
-                                    self.stats.v_insts += v_insts_l;
-                                    self.stats.chain_executed += chain_l;
-                                    self.stats.categories.merge(&cats_l);
-                                    return FragExit::SmcStore {
+                                    // (the store's recovery table), and leave
+                                    // it unretired: the pass ends before it,
+                                    // and the VM re-runs it interpretively
+                                    // after invalidating the affected
+                                    // fragments.
+                                    let exit = FragExit::SmcStore {
                                         addr: a,
                                         len,
-                                        vaddr: meta.vaddr,
+                                        vaddr: metas[idx].vaddr,
                                         state: self.recover_state(cache, fid, idx as u32, cpu),
                                     };
+                                    pass.finish(&mut self.stats, cache, fid, idx);
+                                    return exit;
                                 }
                                 if S::TRACING {
                                     d.mem_addr = Some(a);
@@ -611,11 +632,9 @@ impl Engine {
                         }
                     }
                     IInst::CopyToGpr { acc, dst } => {
-                        self.stats.copies_executed += 1;
                         cpu.write(dst, self.accs[acc.index()]);
                     }
                     IInst::CopyFromGpr { acc, src } => {
-                        self.stats.copies_executed += 1;
                         self.accs[acc.index()] = cpu.read(src);
                     }
                     IInst::CondBranch {
@@ -690,13 +709,7 @@ impl Engine {
                                         if S::TRACING {
                                             sink.retire(&d);
                                         }
-                                        if pending_entries != 0 {
-                                            cache.fragment_mut(fid).entries += pending_entries;
-                                        }
-                                        self.stats.executed += executed_l;
-                                        self.stats.v_insts += v_insts_l;
-                                        self.stats.chain_executed += chain_l;
-                                        self.stats.categories.merge(&cats_l);
+                                        pass.finish(&mut self.stats, cache, fid, idx + 1);
                                         let target = cache.lookup(actual_v);
                                         let ti = target.map(|t| cache.fragment(t).istart);
                                         self.run_dispatch(actual_v, ti, sink);
@@ -774,13 +787,7 @@ impl Engine {
                         if S::TRACING {
                             sink.retire(&d);
                         }
-                        if pending_entries != 0 {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                        }
-                        self.stats.executed += executed_l;
-                        self.stats.v_insts += v_insts_l;
-                        self.stats.chain_executed += chain_l;
-                        self.stats.categories.merge(&cats_l);
+                        pass.finish(&mut self.stats, cache, fid, idx + 1);
                         let target = cache.lookup(v);
                         let ti = target.map(|t| cache.fragment(t).istart);
                         self.run_dispatch(v, ti, sink);
@@ -795,7 +802,7 @@ impl Engine {
                     IInst::GenTrap => {
                         let state = self.recover_state(cache, fid, idx as u32, cpu);
                         exit = Some(FragExit::Trap {
-                            vaddr: meta.vaddr,
+                            vaddr: metas[idx].vaddr,
                             trap: Trap::GenTrap {
                                 code: state[Reg::A0.number() as usize],
                             },
@@ -815,13 +822,7 @@ impl Engine {
                     sink.retire(&d);
                 }
                 if let Some(e) = exit {
-                    if pending_entries != 0 {
-                        cache.fragment_mut(fid).entries += pending_entries;
-                    }
-                    self.stats.executed += executed_l;
-                    self.stats.v_insts += v_insts_l;
-                    self.stats.chain_executed += chain_l;
-                    self.stats.categories.merge(&cats_l);
+                    pass.finish(&mut self.stats, cache, fid, idx + 1);
                     return e;
                 }
                 match goto {
@@ -834,36 +835,26 @@ impl Engine {
                         // accounting the loop top would have performed.
                         // The GPR file is architecturally complete here
                         // (every fragment entry assumes it), so budget,
-                        // fuel, and region-hot exits stay resumable.
-                        if self.stats.v_insts + v_insts_l >= budget_v {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                            self.stats.executed += executed_l;
-                            self.stats.v_insts += v_insts_l;
-                            self.stats.chain_executed += chain_l;
-                            self.stats.categories.merge(&cats_l);
+                        // fuel, and region-hot exits stay resumable (their
+                        // empty last pass charges nothing).
+                        pass.charge(&mut self.stats, prefix, idx + 1);
+                        pass.start = loop_entry;
+                        if self.stats.v_insts >= budget_v {
+                            pass.finish(&mut self.stats, cache, fid, loop_entry);
                             cpu.pc = vstart;
                             return FragExit::Budget;
                         }
                         if let Some(limit) = fuel_limit {
-                            if self.stats.v_insts + v_insts_l >= limit {
-                                cache.fragment_mut(fid).entries += pending_entries;
-                                self.stats.executed += executed_l;
-                                self.stats.v_insts += v_insts_l;
-                                self.stats.chain_executed += chain_l;
-                                self.stats.categories.merge(&cats_l);
+                            if self.stats.v_insts >= limit {
+                                pass.finish(&mut self.stats, cache, fid, loop_entry);
                                 return FragExit::Preempted { vtarget: vstart };
                             }
                         }
-                        pending_entries += 1;
+                        pass.entries += 1;
                         if is_region {
                             self.stats.region_entries += 1;
-                        } else if self.config.region_trigger == Some(base_entries + pending_entries)
-                        {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                            self.stats.executed += executed_l;
-                            self.stats.v_insts += v_insts_l;
-                            self.stats.chain_executed += chain_l;
-                            self.stats.categories.merge(&cats_l);
+                        } else if self.config.region_trigger == Some(base_entries + pass.entries) {
+                            pass.finish(&mut self.stats, cache, fid, loop_entry);
                             return FragExit::RegionHot { vtarget: vstart };
                         }
                         self.stats.fragment_entries += 1;
@@ -873,13 +864,7 @@ impl Engine {
                         idx = loop_entry;
                     }
                     Some(t) => {
-                        if pending_entries != 0 {
-                            cache.fragment_mut(fid).entries += pending_entries;
-                        }
-                        self.stats.executed += executed_l;
-                        self.stats.v_insts += v_insts_l;
-                        self.stats.chain_executed += chain_l;
-                        self.stats.categories.merge(&cats_l);
+                        pass.finish(&mut self.stats, cache, fid, idx + 1);
                         fid = t;
                         continue 'fragment;
                     }
@@ -918,7 +903,7 @@ mod tests {
     use super::*;
     use crate::fragment::IMeta;
     use alpha_isa::OperateOp;
-    use ildp_isa::IsaForm;
+    use ildp_isa::{CondKind, IsaForm};
     use std::collections::HashMap;
 
     /// A sink that records every retired instruction.
@@ -1078,13 +1063,360 @@ mod tests {
             IInst::SetVpcBase { vaddr: 0x1000 },
             IInst::CallTranslator { vtarget: 0x1000 }, // self-patch on install
         ];
-        let m: Vec<IMeta> = vec![meta(0x1000, 1), meta(0x1000, 1)];
+        let m: Vec<IMeta> = vec![meta(0x1000, 1), meta(0x1000, 3)];
         let a = cache.install(0x1000, IsaForm::Modified, insts, m, 2, HashMap::new());
         let mut engine = Engine::new(EngineConfig::default());
         let mut cpu = CpuState::new(0);
         let mut mem = Memory::new();
         let exit = engine.run(&mut cache, a, &mut cpu, &mut mem, 500, &mut NullSink);
         assert_eq!(exit, FragExit::Budget);
-        assert!(engine.stats.v_insts >= 500);
+        // The budget is checked after every pass, so it overshoots by less
+        // than one pass of the fragment (4 V-instructions; a self-transfer
+        // pass skips the leading `set-vpc-base` and retires 3).
+        let one_pass = u64::from(cache.fragment(a).retire_prefix[2].vcount);
+        assert_eq!(one_pass, 4);
+        assert!(
+            (500..500 + one_pass).contains(&engine.stats.v_insts),
+            "v_insts {} overshoots the budget by a pass or more",
+            engine.stats.v_insts
+        );
+    }
+
+    /// Metadata varied by index: vcounts of 0–2, chain instructions, every
+    /// usage category and unclassified instructions all occur, so a charge
+    /// off by one index or one field shows in the totals.
+    fn rich_meta(vstart: u64, k: usize) -> IMeta {
+        IMeta {
+            vaddr: vstart + 4 * k as u64,
+            vcount: [1, 0, 2][k % 3],
+            category: (k % 4 != 3).then(|| UsageCat::ALL[k % UsageCat::COUNT]),
+            is_chain: k % 5 == 4,
+        }
+    }
+
+    fn install_rich(cache: &mut TranslationCache, vstart: u64, insts: Vec<IInst>) -> FragmentId {
+        let m = (0..insts.len()).map(|k| rich_meta(vstart, k)).collect();
+        let n = insts.len() as u32;
+        cache.install(vstart, IsaForm::Modified, insts, m, n, HashMap::new())
+    }
+
+    fn op(acc: u8, lhs: ASrc, imm: i16, dst: Option<u8>) -> IInst {
+        IInst::Op {
+            op: OperateOp::Addq,
+            acc: Acc::new(acc),
+            lhs,
+            rhs: ASrc::Imm(imm),
+            dst: dst.map(Reg::new),
+        }
+    }
+
+    /// Straight-line work: ALU ops and both copy directions.
+    fn work() -> Vec<IInst> {
+        vec![
+            op(1, ASrc::Gpr(Reg::new(2)), 5, None),
+            IInst::CopyToGpr {
+                acc: Acc::new(1),
+                dst: Reg::new(2),
+            },
+            IInst::CopyFromGpr {
+                acc: Acc::new(2),
+                src: Reg::new(2),
+            },
+            op(2, ASrc::Acc, -1, Some(3)),
+        ]
+    }
+
+    /// A fragment at `vstart` whose body increments `r1` and branches back
+    /// to itself while `r1 < until`, then falls through into `tail`.
+    fn looped(vstart: u64, until: i16, tail: Vec<IInst>) -> Vec<IInst> {
+        let mut insts = vec![
+            IInst::SetVpcBase { vaddr: vstart },
+            op(0, ASrc::Gpr(Reg::new(1)), 1, Some(1)),
+        ];
+        insts.extend(work());
+        insts.push(op(0, ASrc::Gpr(Reg::new(1)), -until, None));
+        // Patched into a self-branch on install.
+        insts.push(IInst::CallTranslatorIfCond {
+            cond: CondKind::Lt,
+            acc: Acc::new(0),
+            src: ASrc::Acc,
+            vtarget: vstart,
+        });
+        insts.extend(tail);
+        insts
+    }
+
+    /// A fragment at `vstart` that branches back to itself forever.
+    fn endless(vstart: u64) -> Vec<IInst> {
+        let mut insts = vec![IInst::SetVpcBase { vaddr: vstart }];
+        insts.extend(work());
+        insts.push(IInst::CallTranslator { vtarget: vstart });
+        insts
+    }
+
+    fn then_halt(mut insts: Vec<IInst>) -> Vec<IInst> {
+        insts.push(IInst::Halt);
+        insts
+    }
+
+    /// A fragment at `vstart` that does some work and halts.
+    fn leaf(vstart: u64) -> Vec<IInst> {
+        let mut insts = vec![IInst::SetVpcBase { vaddr: vstart }];
+        insts.extend(work());
+        then_halt(insts)
+    }
+
+    /// Independent oracle for the pass-charged statistics: recounts them
+    /// from the retired-record stream, mapping every record's PC back
+    /// through the fragments' `iaddrs` to its metadata and instruction
+    /// (shared-dispatch records are all chaining overhead).
+    fn assert_charges_match_records(engine: &Engine, cache: &TranslationCache, rec: &Recorder) {
+        let mut want = EngineStats::default();
+        for d in &rec.0 {
+            want.executed += 1;
+            if (DISPATCH_IADDR..DISPATCH_IADDR + 0x1000).contains(&d.pc) {
+                want.chain_executed += 1;
+                continue;
+            }
+            let (f, k) = cache
+                .fragments()
+                .find_map(|f| f.iaddrs.iter().position(|&a| a == d.pc).map(|k| (f, k)))
+                .unwrap_or_else(|| panic!("record pc {:#x} is no installed instruction", d.pc));
+            let m = f.meta[k];
+            want.v_insts += u64::from(m.vcount);
+            want.chain_executed += u64::from(m.is_chain);
+            if matches!(
+                f.insts[k],
+                IInst::CopyToGpr { .. } | IInst::CopyFromGpr { .. }
+            ) {
+                want.copies_executed += 1;
+            }
+            if let Some(cat) = m.category {
+                want.categories.bump(cat);
+            }
+        }
+        let got = &engine.stats;
+        assert_eq!(got.executed, rec.0.len() as u64, "executed == records");
+        let record_v: u64 = rec.0.iter().map(|d| u64::from(d.vcount)).sum();
+        assert_eq!(got.v_insts, record_v, "v_insts == sum of record vcounts");
+        assert_eq!(got.v_insts, want.v_insts, "v_insts");
+        assert_eq!(got.chain_executed, want.chain_executed, "chain");
+        assert_eq!(got.copies_executed, want.copies_executed, "copies");
+        assert_eq!(got.categories, want.categories, "categories");
+        // Every scenario retires copies, chain instructions and
+        // classified values, so none of the comparisons is vacuous.
+        assert!(want.copies_executed > 0 && want.chain_executed > 0);
+        assert!(want.categories.total() > 0);
+    }
+
+    struct Run {
+        engine: Engine,
+        cpu: CpuState,
+        mem: Memory,
+        rec: Recorder,
+    }
+
+    impl Run {
+        fn new(config: EngineConfig) -> Run {
+            Run {
+                engine: Engine::new(config),
+                cpu: CpuState::new(0),
+                mem: Memory::new(),
+                rec: Recorder::default(),
+            }
+        }
+
+        fn go(&mut self, cache: &mut TranslationCache, entry: FragmentId, budget: u64) -> FragExit {
+            let exit = self.engine.run(
+                cache,
+                entry,
+                &mut self.cpu,
+                &mut self.mem,
+                budget,
+                &mut self.rec,
+            );
+            assert_charges_match_records(&self.engine, cache, &self.rec);
+            exit
+        }
+    }
+
+    #[test]
+    fn pass_charge_on_mid_fragment_trap() {
+        let mut cache = TranslationCache::new();
+        let mut tail = work();
+        tail.push(IInst::Load {
+            acc: Acc::new(3),
+            width: MemWidth::U64,
+            addr: ASrc::Imm(0x101),
+            disp: 0,
+            dst: None,
+        });
+        tail.extend(work());
+        let trap_idx = 8 + 4;
+        let f = install_rich(&mut cache, 0x1000, then_halt(looped(0x1000, 3, tail)));
+        let mut run = Run::new(EngineConfig::default());
+        match run.go(&mut cache, f, u64::MAX) {
+            FragExit::Trap { vaddr, .. } => assert_eq!(vaddr, 0x1000 + 4 * trap_idx),
+            other => panic!("expected a trap, got {other:?}"),
+        }
+        assert_eq!(run.cpu.read(Reg::new(1)), 3);
+    }
+
+    #[test]
+    fn pass_charge_on_smc_store_rollback() {
+        let mut cache = TranslationCache::new();
+        let mut tail = work();
+        // Writes the fragment's own source page.
+        tail.push(IInst::Store {
+            acc: Acc::new(3),
+            width: MemWidth::U64,
+            addr: ASrc::Imm(0x1008),
+            disp: 0,
+            value: ASrc::Gpr(Reg::new(1)),
+        });
+        tail.extend(work());
+        let f = install_rich(&mut cache, 0x1000, then_halt(looped(0x1000, 3, tail)));
+        let mut run = Run::new(EngineConfig::default());
+        let exit = run.go(&mut cache, f, u64::MAX);
+        assert!(
+            matches!(exit, FragExit::SmcStore { addr: 0x1008, .. }),
+            "{exit:?}"
+        );
+        assert_eq!(run.mem.read_u64(0x1008), 0, "the store did not execute");
+    }
+
+    #[test]
+    fn pass_charge_on_dispatch_and_direct_goto() {
+        let mut cache = TranslationCache::new();
+        install_rich(&mut cache, 0x2000, leaf(0x2000));
+        // E runs 4 passes, then branches directly (a patched
+        // call-translator) to F; F continues the shared counter for 2 more
+        // passes, then dispatches to G.
+        let f = install_rich(
+            &mut cache,
+            0x1000,
+            looped(
+                0x1000,
+                6,
+                vec![
+                    op(0, ASrc::Imm(0x2000), 0, Some(5)),
+                    IInst::Dispatch {
+                        acc: Acc::new(0),
+                        src: ASrc::Gpr(Reg::new(5)),
+                    },
+                ],
+            ),
+        );
+        let e = install_rich(
+            &mut cache,
+            0x3000,
+            looped(0x3000, 4, vec![IInst::CallTranslator { vtarget: 0x1000 }]),
+        );
+        assert_eq!(cache.fragment(e).links.last(), Some(&Some(f)));
+        let mut run = Run::new(EngineConfig::default());
+        assert_eq!(run.go(&mut cache, e, u64::MAX), FragExit::Halt);
+        assert_eq!(run.engine.stats.dispatches, 1);
+        assert_eq!(run.engine.stats.fragment_entries, 4 + 2 + 1);
+    }
+
+    #[test]
+    fn pass_charge_on_ras_hits_with_live_and_stale_links() {
+        for stale in [true, false] {
+            let mut cache = TranslationCache::new();
+            install_rich(&mut cache, 0x3000, leaf(0x3000));
+            // A pushes the (0x3000, R) return pair, then leaves for the
+            // untranslated 0x5000.
+            let push = IInst::PushDualRas {
+                vret: 0x3000,
+                iret: ITarget::Addr(DISPATCH_IADDR),
+            };
+            let a = install_rich(
+                &mut cache,
+                0x1000,
+                looped(
+                    0x1000,
+                    2,
+                    vec![push, IInst::CallTranslator { vtarget: 0x5000 }],
+                ),
+            );
+            let mut run = Run::new(EngineConfig::default());
+            let exit = run.go(&mut cache, a, u64::MAX);
+            assert_eq!(exit, FragExit::NotTranslated { vtarget: 0x5000 });
+            if stale {
+                cache.force_epoch_bump();
+            }
+            // C returns to 0x3000: a RAS hit that follows the live link
+            // directly, or falls back to dispatch once the link is stale.
+            let mut ret = vec![IInst::SetVpcBase { vaddr: 0x5000 }];
+            ret.extend(work());
+            ret.extend([
+                op(0, ASrc::Imm(0x3000), 0, None),
+                IInst::IndirectJump {
+                    kind: JumpKind::Ret,
+                    acc: Acc::new(0),
+                    addr: ASrc::Acc,
+                },
+                IInst::Dispatch {
+                    acc: Acc::new(0),
+                    src: ASrc::Acc,
+                },
+            ]);
+            let c = install_rich(&mut cache, 0x5000, ret);
+            assert_eq!(run.go(&mut cache, c, u64::MAX), FragExit::Halt);
+            assert_eq!(run.engine.stats.ras_hits, 1);
+            assert_eq!(run.engine.stats.dispatches, u64::from(stale));
+        }
+    }
+
+    #[test]
+    fn pass_charge_on_self_transfer_budget_exit() {
+        let mut cache = TranslationCache::new();
+        let f = install_rich(&mut cache, 0x1000, endless(0x1000));
+        let mut run = Run::new(EngineConfig::default());
+        assert_eq!(run.go(&mut cache, f, 100), FragExit::Budget);
+        assert_eq!(run.cpu.pc, 0x1000);
+        assert_eq!(cache.fragment(f).entries, run.engine.stats.fragment_entries);
+    }
+
+    #[test]
+    fn pass_charge_on_fuel_preemption() {
+        let mut cache = TranslationCache::new();
+        let f = install_rich(&mut cache, 0x1000, endless(0x1000));
+        let mut run = Run::new(EngineConfig {
+            fuel: Some(50),
+            ..EngineConfig::default()
+        });
+        let exit = run.go(&mut cache, f, u64::MAX);
+        assert_eq!(exit, FragExit::Preempted { vtarget: 0x1000 });
+        assert!(run.engine.stats.v_insts >= 50);
+    }
+
+    #[test]
+    fn pass_charge_on_region_hot_self_transfer() {
+        let mut cache = TranslationCache::new();
+        let f = install_rich(&mut cache, 0x1000, endless(0x1000));
+        let mut run = Run::new(EngineConfig {
+            region_trigger: Some(5),
+            ..EngineConfig::default()
+        });
+        let exit = run.go(&mut cache, f, u64::MAX);
+        assert_eq!(exit, FragExit::RegionHot { vtarget: 0x1000 });
+        // The hot (fifth) entry is booked but has not executed.
+        assert_eq!(cache.fragment(f).entries, 5);
+        assert_eq!(run.engine.stats.fragment_entries, 4);
+    }
+
+    #[test]
+    fn pass_charge_on_fragment_overrun() {
+        let mut cache = TranslationCache::new();
+        let f = install_rich(&mut cache, 0x1000, looped(0x1000, 2, work()));
+        let mut run = Run::new(EngineConfig::default());
+        let exit = run.go(&mut cache, f, u64::MAX);
+        assert_eq!(
+            exit,
+            FragExit::Fault {
+                error: VmError::FragmentOverrun { fragment: f.0 }
+            }
+        );
     }
 }

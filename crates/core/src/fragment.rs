@@ -47,6 +47,61 @@ impl IMeta {
     }
 }
 
+/// Retirement totals over a prefix of a fragment: entry `k` of
+/// [`Fragment::retire_prefix`] sums `meta[0..k]`. Control inside a
+/// fragment only moves forward, so a pass that executes indices
+/// `start..end` retires exactly `prefix[end] - prefix[start]`; the engine
+/// charges its statistics once per pass from this table instead of once
+/// per instruction. Fields are 16-bit to keep the table small; the
+/// install-time check in [`TranslationCache::install`] rules out overflow.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct RetireSums {
+    /// V-ISA instructions retired (the sum of [`IMeta::vcount`]).
+    pub(crate) vcount: u16,
+    /// Chaining-overhead instructions ([`IMeta::is_chain`]).
+    pub(crate) chain: u16,
+    /// `copy-to-GPR` / `copy-from-GPR` instructions.
+    pub(crate) copies: u16,
+    /// Classified values produced, indexed by [`UsageCat::index`].
+    pub(crate) categories: [u16; UsageCat::COUNT],
+}
+
+/// Builds a fragment's retirement prefix table (`insts.len() + 1`
+/// entries, see [`RetireSums`]).
+///
+/// # Panics
+///
+/// Panics if a total does not fit 16 bits: more than 65535 instructions,
+/// or more than 65535 V-instructions retired by the whole fragment.
+fn retire_prefix(vstart: u64, insts: &[IInst], meta: &[IMeta]) -> Vec<RetireSums> {
+    // Every count is bounded by the instruction count except `vcount`, so
+    // checking the two grand totals once rules out overflow below.
+    let total_v: u64 = meta.iter().map(|m| u64::from(m.vcount)).sum();
+    if u16::try_from(total_v.max(insts.len() as u64)).is_err() {
+        panic!(
+            "fragment {vstart:#x}: {} instructions retiring {total_v} V-instructions \
+             overflow the 16-bit retirement prefix table",
+            insts.len()
+        );
+    }
+    let mut sums = RetireSums::default();
+    let mut table = Vec::with_capacity(insts.len() + 1);
+    table.push(sums);
+    for (inst, m) in insts.iter().zip(meta) {
+        sums.vcount += m.vcount;
+        sums.chain += u16::from(m.is_chain);
+        sums.copies += u16::from(matches!(
+            inst,
+            IInst::CopyToGpr { .. } | IInst::CopyFromGpr { .. }
+        ));
+        if let Some(cat) = m.category {
+            sums.categories[cat.index()] += 1;
+        }
+        table.push(sums);
+    }
+    table
+}
+
 /// Precise-trap recovery entry: at this PEI, the architected value of
 /// `reg` lives in accumulator `acc` (basic-form fragments only).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,6 +128,11 @@ pub struct Fragment {
     pub meta: Vec<IMeta>,
     /// Per-instruction I-addresses (cumulative from `istart`).
     pub iaddrs: Vec<u64>,
+    /// Retirement prefix sums over `meta` and the instruction kinds
+    /// (`insts.len() + 1` entries, see [`RetireSums`]). Built once at
+    /// install: `meta` never changes afterwards, and patching never turns
+    /// an instruction into a copy or out of one.
+    pub(crate) retire_prefix: Vec<RetireSums>,
     /// The ISA form this fragment was translated to.
     pub form: IsaForm,
     /// Number of V-ISA instructions in the source superblock.
@@ -366,7 +426,10 @@ impl TranslationCache {
     ///
     /// Panics if a fragment for the same V-start is already installed
     /// (re-translation is not supported; the paper's system likewise keeps
-    /// the first fragment formed for an address).
+    /// the first fragment formed for an address), or if the fragment is
+    /// too large for its 16-bit retirement prefix table (more than 65535
+    /// instructions or retired V-instructions; superblocks and regions
+    /// stay below a few hundred V-instructions).
     pub fn install(
         &mut self,
         vstart: u64,
@@ -404,6 +467,7 @@ impl TranslationCache {
             })
             .collect();
         let links = vec![None; insts.len()];
+        let retire_prefix = retire_prefix(vstart, &insts, &meta);
         // Exit V-targets must be captured before `resolve_new_fragment`
         // patches any of this fragment's own exits into direct branches.
         let exit_varms = insts
@@ -426,6 +490,7 @@ impl TranslationCache {
             insts,
             meta,
             iaddrs,
+            retire_prefix,
             form,
             src_inst_count,
             recovery,
