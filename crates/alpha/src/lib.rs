@@ -13,6 +13,8 @@
 //! * real Alpha machine-word [`encode`]/[`decode`],
 //! * a label-based [`Assembler`] for building test programs and workloads,
 //! * sparse [`Memory`] and architected [`CpuState`],
+//! * [`IdMap`]/[`IdSet`], maps hashed by the deterministic [`IdHasher`]
+//!   that every id-keyed map of the VM uses,
 //! * single-instruction functional semantics ([`step`]) with precise
 //!   [`Trap`]s, and a reference interpreter ([`run_to_halt`]).
 //!
@@ -57,6 +59,7 @@ mod decode;
 mod disasm;
 mod encode;
 mod exec;
+mod hash;
 mod inst;
 mod interp;
 mod mem;
@@ -71,6 +74,7 @@ pub use decode::decode;
 pub use disasm::disassemble;
 pub use encode::{encode, EncodeError};
 pub use exec::{step, AlignPolicy, Control, MemAccess, Outcome};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use inst::{BranchOp, Inst, JumpKind, MemOp, Operand, OperateOp, PalFunc, SourceRegs};
 pub use interp::{run_to_halt, DecodeCache, RunError, RunStats};
 pub use mem::Memory;

@@ -4,38 +4,12 @@
 //! code, stack and heap across the address space without cost. Loads from
 //! untouched memory read zero, matching a zero-filled process image.
 
+use crate::hash::IdMap;
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
-
-/// Multiplicative hasher for page numbers. Page indices are small dense
-/// integers, so a single Fibonacci multiply spreads them well; the default
-/// SipHash costs more than the page access it guards.
-#[derive(Default)]
-pub struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Sparse little-endian memory for the simulated machine.
 ///
@@ -52,7 +26,7 @@ impl Hasher for PageHasher {
 pub struct Memory {
     /// Page number → index into `arena`. Pages are never removed, so the
     /// indices stay stable for the life of the memory.
-    index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    index: IdMap<u64, u32>,
     /// The page frames themselves, in allocation order.
     arena: Vec<Box<[u8; PAGE_SIZE]>>,
     /// One-entry translation cache: the last `(page number, arena index)`
@@ -66,7 +40,7 @@ pub struct Memory {
 impl Default for Memory {
     fn default() -> Memory {
         Memory {
-            index: HashMap::default(),
+            index: IdMap::default(),
             arena: Vec::new(),
             last: Cell::new((u64::MAX, 0)),
         }
@@ -135,7 +109,7 @@ impl Memory {
     /// touch. An associated function (not a method) so callers holding a
     /// frame borrow stay disjoint.
     fn frame_index(
-        index: &mut HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+        index: &mut IdMap<u64, u32>,
         arena: &mut Vec<Box<[u8; PAGE_SIZE]>>,
         page_no: u64,
     ) -> u32 {

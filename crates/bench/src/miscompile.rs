@@ -814,7 +814,7 @@ fn install(cache: &mut TranslationCache, vstart: u64, insts: Vec<IInst>) -> ildp
         insts,
         meta,
         1,
-        std::collections::HashMap::new(),
+        alpha_isa::IdMap::default(),
     )
 }
 

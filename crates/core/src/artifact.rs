@@ -60,9 +60,8 @@ use crate::fragment::{IMeta, RecoveryEntry};
 use crate::superblock::{CollectedFlow, SbEnd, Superblock};
 use crate::translate::{ChainPolicy, TranslatedCode, Translator};
 use crate::wire::{self, Cursor};
-use alpha_isa::{JumpKind, OperateOp, Program, Reg};
+use alpha_isa::{IdMap, IdSet, JumpKind, OperateOp, Program, Reg};
 use ildp_isa::{ASrc, Acc, CondKind, IInst, ITarget, IsaForm, MemWidth};
-use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -218,7 +217,7 @@ pub struct FragmentArtifact {
     /// Parallel metadata.
     pub meta: Vec<IMeta>,
     /// Precise-trap recovery tables (basic form).
-    pub recovery: HashMap<u32, Vec<RecoveryEntry>>,
+    pub recovery: IdMap<u32, Vec<RecoveryEntry>>,
     /// Copy instructions emitted.
     pub copies: u32,
     /// Strands formed.
@@ -344,7 +343,7 @@ impl FragmentArtifact {
             });
         }
         let n = c.take_u32()? as usize;
-        let mut recovery = HashMap::new();
+        let mut recovery = IdMap::default();
         for _ in 0..n {
             let slot = c.take_u32()?;
             let m = c.take_u32()? as usize;
@@ -872,8 +871,8 @@ pub struct StoreLoadReport {
 /// across [`FragmentStore::save`] merges.
 #[derive(Debug, Default)]
 struct StoreContent {
-    entries: HashMap<ArtifactKey, Arc<Vec<u8>>>,
-    tombstones: HashSet<ArtifactKey>,
+    entries: IdMap<ArtifactKey, Arc<Vec<u8>>>,
+    tombstones: IdSet<ArtifactKey>,
 }
 
 /// An `Arc`-shared, thread-safe store of serialized fragment artifacts.
@@ -1053,7 +1052,7 @@ impl FragmentStore {
         (ok, bad)
     }
 
-    fn encode_entries(entries: &HashMap<ArtifactKey, Arc<Vec<u8>>>) -> Vec<u8> {
+    fn encode_entries(entries: &IdMap<ArtifactKey, Arc<Vec<u8>>>) -> Vec<u8> {
         let mut keys: Vec<&ArtifactKey> = entries.keys().collect();
         keys.sort_unstable_by_key(|k| (k.code_digest, k.config_digest));
         let mut p = Vec::new();
@@ -1406,7 +1405,7 @@ mod tests {
                 is_chain: i % 3 == 0,
             })
             .collect();
-        let mut recovery = HashMap::new();
+        let mut recovery = IdMap::default();
         recovery.insert(
             2,
             vec![RecoveryEntry {

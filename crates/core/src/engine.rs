@@ -902,9 +902,8 @@ fn check_align(addr: u64, width: MemWidth, policy: AlignPolicy) -> Result<(), Tr
 mod tests {
     use super::*;
     use crate::fragment::IMeta;
-    use alpha_isa::OperateOp;
+    use alpha_isa::{IdMap, OperateOp};
     use ildp_isa::{CondKind, IsaForm};
-    use std::collections::HashMap;
 
     /// A sink that records every retired instruction.
     #[derive(Default)]
@@ -928,7 +927,7 @@ mod tests {
     fn install_simple(cache: &mut TranslationCache, vstart: u64, insts: Vec<IInst>) -> FragmentId {
         let m: Vec<IMeta> = insts.iter().map(|_| meta(vstart, 1)).collect();
         let n = insts.len() as u32;
-        cache.install(vstart, IsaForm::Modified, insts, m, n, HashMap::new())
+        cache.install(vstart, IsaForm::Modified, insts, m, n, IdMap::default())
     }
 
     #[test]
@@ -1064,7 +1063,7 @@ mod tests {
             IInst::CallTranslator { vtarget: 0x1000 }, // self-patch on install
         ];
         let m: Vec<IMeta> = vec![meta(0x1000, 1), meta(0x1000, 3)];
-        let a = cache.install(0x1000, IsaForm::Modified, insts, m, 2, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, m, 2, IdMap::default());
         let mut engine = Engine::new(EngineConfig::default());
         let mut cpu = CpuState::new(0);
         let mut mem = Memory::new();
@@ -1097,7 +1096,7 @@ mod tests {
     fn install_rich(cache: &mut TranslationCache, vstart: u64, insts: Vec<IInst>) -> FragmentId {
         let m = (0..insts.len()).map(|k| rich_meta(vstart, k)).collect();
         let n = insts.len() as u32;
-        cache.install(vstart, IsaForm::Modified, insts, m, n, HashMap::new())
+        cache.install(vstart, IsaForm::Modified, insts, m, n, IdMap::default())
     }
 
     fn op(acc: u8, lhs: ASrc, imm: i16, dst: Option<u8>) -> IInst {

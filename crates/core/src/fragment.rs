@@ -9,10 +9,9 @@
 //! direct branch (paper §3.2).
 
 use crate::classify::UsageCat;
-use alpha_isa::Reg;
+use alpha_isa::{IdMap, Reg};
 use ildp_isa::{Acc, IInst, ITarget, IsaForm};
 use ildp_uarch::{DynInst, InstClass};
-use std::collections::HashMap;
 
 /// Identifier of an installed fragment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -139,7 +138,7 @@ pub struct Fragment {
     pub src_inst_count: u32,
     /// Per PEI instruction index: accumulator-resident architected values
     /// to merge into the GPR file on a trap (basic form).
-    pub recovery: HashMap<u32, Vec<RecoveryEntry>>,
+    pub recovery: IdMap<u32, Vec<RecoveryEntry>>,
     /// Predecoded per-instruction trace templates: everything about a
     /// [`DynInst`] that is static — PC, size, operand names, class, the
     /// fall-through `next_pc` — computed once at install time so tracing
@@ -215,19 +214,19 @@ impl Fragment {
 #[derive(Clone, Debug, Default)]
 pub struct TranslationCache {
     slots: Vec<Option<Fragment>>,
-    by_vstart: HashMap<u64, FragmentId>,
-    by_istart: HashMap<u64, FragmentId>,
+    by_vstart: IdMap<u64, FragmentId>,
+    by_istart: IdMap<u64, FragmentId>,
     /// V-target → sites awaiting a fragment at that address.
-    pending: HashMap<u64, Vec<(FragmentId, u32)>>,
+    pending: IdMap<u64, Vec<(FragmentId, u32)>>,
     /// Reverse direct-link map: target fragment → the (fragment, slot)
     /// sites whose direct link names it. Consulted on invalidation so every
     /// incoming branch and dual-RAS push is un-patched back to a
     /// `call-translator` / dispatch exit. Entries are validated lazily
     /// against the live link table, so stale records are harmless.
-    incoming: HashMap<FragmentId, Vec<(FragmentId, u32)>>,
+    incoming: IdMap<FragmentId, Vec<(FragmentId, u32)>>,
     /// Guest page → fragments translated from code on that page (the SMC
     /// reverse map).
-    src_pages: HashMap<u64, Vec<FragmentId>>,
+    src_pages: IdMap<u64, Vec<FragmentId>>,
     /// Byte range [watch_lo, watch_hi) covering every watched guest page —
     /// a store outside it cannot hit translated source code, so the hot
     /// path pays one compare instead of a hash probe. Conservative: never
@@ -437,7 +436,7 @@ impl TranslationCache {
         insts: Vec<IInst>,
         meta: Vec<IMeta>,
         src_inst_count: u32,
-        recovery: HashMap<u32, Vec<RecoveryEntry>>,
+        recovery: IdMap<u32, Vec<RecoveryEntry>>,
     ) -> FragmentId {
         assert_eq!(insts.len(), meta.len(), "metadata must parallel code");
         assert!(
@@ -914,7 +913,7 @@ mod tests {
     fn install_assigns_addresses_and_maps() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        let id = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let id = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let f = cache.fragment(id);
         assert_eq!(f.istart, CODE_CACHE_BASE);
         assert_eq!(f.iaddrs[0], CODE_CACHE_BASE);
@@ -927,13 +926,13 @@ mod tests {
     fn later_install_patches_earlier_exit() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         assert!(matches!(
             cache.fragment(a).insts[1],
             IInst::CallTranslator { vtarget: 0x2000 }
         ));
         let (insts, meta) = mk_insts(0x3000);
-        let b = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let b = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let b_start = cache.fragment(b).istart;
         assert!(matches!(
             cache.fragment(a).insts[1],
@@ -965,7 +964,7 @@ mod tests {
             IMeta::chain(0x1000),
             IMeta::chain(0x1000),
         ];
-        let id = cache.install(0x1000, IsaForm::Basic, insts, meta, 1, HashMap::new());
+        let id = cache.install(0x1000, IsaForm::Basic, insts, meta, 1, IdMap::default());
         let istart = cache.fragment(id).istart;
         assert!(matches!(
             cache.fragment(id).insts[1],
@@ -981,7 +980,7 @@ mod tests {
             iret: ITarget::Addr(DISPATCH_IADDR),
         }];
         let meta = vec![IMeta::chain(0x1000)];
-        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         // Unresolved: points at dispatch.
         assert!(matches!(
             cache.fragment(a).insts[0],
@@ -991,7 +990,7 @@ mod tests {
             }
         ));
         let (insts, meta) = mk_insts(0x9000);
-        let b = cache.install(0x5000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let b = cache.install(0x5000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let b_start = cache.fragment(b).istart;
         assert!(matches!(
             cache.fragment(a).insts[0],
@@ -1010,9 +1009,9 @@ mod tests {
             insts.clone(),
             meta.clone(),
             1,
-            HashMap::new(),
+            IdMap::default(),
         );
-        cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
     }
 
     #[test]
@@ -1049,7 +1048,7 @@ mod tests {
                 is_chain: false,
             },
         ];
-        let id = cache.install(0x1000, IsaForm::Basic, insts, meta, 2, HashMap::new());
+        let id = cache.install(0x1000, IsaForm::Basic, insts, meta, 2, IdMap::default());
         assert_eq!(cache.fragment(id).pei_table(), vec![(1, 0x1004)]);
     }
 
@@ -1057,9 +1056,9 @@ mod tests {
     fn invalidate_unpatches_incoming_links() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let (insts, meta) = mk_insts(0x3000);
-        let b = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let b = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         // A's exit is now a direct branch into B.
         assert!(matches!(cache.fragment(a).insts[1], IInst::Branch { .. }));
         assert_eq!(cache.invalidate(b), Some(0x2000));
@@ -1077,7 +1076,7 @@ mod tests {
         // Re-installing B's region re-patches A via the restored pending
         // record.
         let (insts, meta) = mk_insts(0x3000);
-        let b2 = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let b2 = cache.install(0x2000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let b2_start = cache.fragment(b2).istart;
         assert!(matches!(
             cache.fragment(a).insts[1],
@@ -1089,7 +1088,7 @@ mod tests {
     fn invalidate_is_idempotent_and_tracks_bytes() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let bytes = cache.installed_bytes();
         assert!(bytes > 0);
         let total = cache.total_code_bytes();
@@ -1113,7 +1112,7 @@ mod tests {
                 insts,
                 meta,
                 1,
-                HashMap::new(),
+                IdMap::default(),
             ));
         }
         // Mark fragment 1 as recently entered; clear the rest (install
@@ -1138,7 +1137,7 @@ mod tests {
     fn enforce_budget_never_evicts_last_fragment() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         // Budget of zero still keeps one live fragment (the one running).
         assert!(cache.enforce_budget(0, a).is_empty());
         assert!(cache.try_fragment(a).is_some());
@@ -1148,7 +1147,7 @@ mod tests {
     fn smc_maps_track_source_pages() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        let a = cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         // Source vaddr 0x1000 lives on page 0x1.
         assert!(cache.smc_hit(0x1000, 8));
         assert!(cache.smc_hit(0x1ff8, 8));
@@ -1170,7 +1169,7 @@ mod tests {
     fn force_epoch_bump_keeps_fragments() {
         let mut cache = TranslationCache::new();
         let (insts, meta) = mk_insts(0x2000);
-        cache.install(0x1000, IsaForm::Modified, insts, meta, 1, HashMap::new());
+        cache.install(0x1000, IsaForm::Modified, insts, meta, 1, IdMap::default());
         let e = cache.epoch();
         cache.force_epoch_bump();
         assert_eq!(cache.epoch(), e + 1);

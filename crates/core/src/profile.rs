@@ -16,9 +16,9 @@
 use crate::fragment::TranslationCache;
 use crate::superblock::{CollectedFlow, SbEnd, SbInst, Superblock};
 use alpha_isa::{
-    step, AlignPolicy, BranchOp, Control, CpuState, DecodeCache, Inst, Memory, Program, Trap,
+    step, AlignPolicy, BranchOp, Control, CpuState, DecodeCache, IdMap, IdSet, Inst, Memory,
+    Program, Trap,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Profiling configuration (paper §4.1: threshold 50, maximum superblock
 /// size 200).
@@ -46,7 +46,7 @@ impl Default for ProfileConfig {
 /// number of counters; so do we).
 #[derive(Clone, Debug, Default)]
 pub struct Candidates {
-    counters: HashMap<u64, u32>,
+    counters: IdMap<u64, u32>,
 }
 
 impl Candidates {
@@ -56,11 +56,15 @@ impl Candidates {
     }
 
     /// Bumps the counter for `vaddr`; returns `true` when it reaches
-    /// `threshold` (the address is now hot).
+    /// `threshold` (the address is now hot). The counter saturates: a
+    /// loop left to the interpreter can take 2^32 back-edges, and a
+    /// wrapped counter would report it hot a second time.
     pub fn bump(&mut self, vaddr: u64, threshold: u32) -> bool {
         let c = self.counters.entry(vaddr).or_insert(0);
-        *c += 1;
-        *c == threshold
+        let next = c.saturating_add(1);
+        let fired = next == threshold && next != *c;
+        *c = next;
+        fired
     }
 
     /// Whether `vaddr` has already crossed `threshold`.
@@ -247,7 +251,7 @@ pub fn collect_superblock_with_output(
 ) -> Result<Superblock, (u64, Trap)> {
     let start = cpu.pc;
     let mut insts: Vec<SbInst> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: IdSet<u64> = IdSet::default();
     loop {
         let pc = cpu.pc;
         if seen.contains(&pc) {
@@ -347,6 +351,17 @@ mod tests {
         asm.bne(Reg::A0, top);
         asm.halt();
         asm.finish().unwrap()
+    }
+
+    #[test]
+    fn saturated_counter_neither_panics_nor_fires() {
+        let mut cands = Candidates::new();
+        cands.set(0x1000, u32::MAX);
+        for _ in 0..100 {
+            assert!(!cands.bump(0x1000, 50));
+            assert!(!cands.bump(0x1000, u32::MAX));
+        }
+        assert!(cands.is_hot(0x1000, 50));
     }
 
     #[test]

@@ -17,9 +17,8 @@ use crate::profile::{interp_step, Candidates, InterpEvent, ProfileConfig};
 use crate::superblock::{CollectedFlow, SbEnd, Superblock};
 use crate::translate::ChainPolicy;
 use crate::vm::VmExit;
-use alpha_isa::{step, BranchOp, Control, CpuState, Inst, JumpKind, Memory, Program, Reg};
+use alpha_isa::{step, BranchOp, Control, CpuState, IdMap, Inst, JumpKind, Memory, Program, Reg};
 use ildp_uarch::{DynInst, InstClass};
-use std::collections::HashMap;
 
 /// Scratch register names used by the chaining code in trace records
 /// (outside the architected 0..32 space).
@@ -161,9 +160,9 @@ pub struct StraightenedVm<'p> {
     mem: Memory,
     candidates: Candidates,
     fragments: Vec<SFragment>,
-    by_vstart: HashMap<u64, usize>,
-    by_istart: HashMap<u64, usize>,
-    pending: HashMap<u64, Vec<(usize, usize)>>,
+    by_vstart: IdMap<u64, usize>,
+    by_istart: IdMap<u64, usize>,
+    pending: IdMap<u64, Vec<(usize, usize)>>,
     next_iaddr: u64,
     ras: Vec<(u64, u64)>,
     ras_top: usize,
@@ -193,9 +192,9 @@ impl<'p> StraightenedVm<'p> {
             mem,
             candidates: Candidates::new(),
             fragments: Vec::new(),
-            by_vstart: HashMap::new(),
-            by_istart: HashMap::new(),
-            pending: HashMap::new(),
+            by_vstart: IdMap::default(),
+            by_istart: IdMap::default(),
+            pending: IdMap::default(),
             next_iaddr: crate::fragment::CODE_CACHE_BASE,
             ras: vec![(0, 0); 8],
             ras_top: 0,

@@ -23,9 +23,8 @@
 
 use crate::classify::{Dataflow, Reaching, UsageCat, ValueId};
 use crate::superblock::{Node, NodeOp};
-use alpha_isa::Reg;
+use alpha_isa::{IdSet, Reg};
 use ildp_isa::Acc;
-use std::collections::HashSet;
 
 /// How a node's input slot is delivered in the translated code.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,7 +80,7 @@ pub fn plan(nodes: &[Node], df: &Dataflow, acc_count: usize, pei_copies: bool) -
         acc_count > 0 && acc_count <= Acc::MAX_ACCUMULATORS,
         "accumulator count out of range"
     );
-    let mut upgraded: HashSet<ValueId> = HashSet::new();
+    let mut upgraded: IdSet<ValueId> = IdSet::default();
     let mut total_terminations = 0u32;
     // Fixpoint: spill upgrades (two-local conflicts, store/select operand
     // constraints, accumulator terminations) change localness, which
@@ -135,14 +134,14 @@ struct Formation {
     /// Per value: the strand carrying it (if acc-carried).
     value_strand: Vec<Option<u32>>,
     /// Values upgraded to spill globals during this formation pass.
-    local_upgrades: HashSet<ValueId>,
+    local_upgrades: IdSet<ValueId>,
 }
 
-fn is_local(df: &Dataflow, upgraded: &HashSet<ValueId>, id: ValueId) -> bool {
+fn is_local(df: &Dataflow, upgraded: &IdSet<ValueId>, id: ValueId) -> bool {
     df.value(id).category.is_acc_carried() && !upgraded.contains(&id)
 }
 
-fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &HashSet<ValueId>) -> Formation {
+fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &IdSet<ValueId>) -> Formation {
     let n = nodes.len();
     let mut f = Formation {
         node_strand: vec![None; n],
@@ -153,14 +152,14 @@ fn form_strands(nodes: &[Node], df: &Dataflow, upgraded: &HashSet<ValueId>) -> F
         strand_touches: Vec::new(),
         strand_len: Vec::new(),
         value_strand: vec![None; df.values.len()],
-        local_upgrades: HashSet::new(),
+        local_upgrades: IdSet::default(),
     };
     // Local upgrades discovered during this pass (conflicts) are applied
     // immediately — safe because an acc-carried value has exactly one
     // consumer, the node at which the conflict is discovered.
-    let mut local_upgrades: HashSet<ValueId> = HashSet::new();
+    let mut local_upgrades: IdSet<ValueId> = IdSet::default();
     let locality =
-        |lu: &HashSet<ValueId>, id: ValueId| is_local(df, upgraded, id) && !lu.contains(&id);
+        |lu: &IdSet<ValueId>, id: ValueId| is_local(df, upgraded, id) && !lu.contains(&id);
 
     for (i, node) in nodes.iter().enumerate() {
         // Gather the candidate-local and global inputs.
@@ -335,7 +334,7 @@ fn pei_window_upgrades(
     nodes: &[Node],
     df: &Dataflow,
     f: &Formation,
-    upgraded: &mut HashSet<ValueId>,
+    upgraded: &mut IdSet<ValueId>,
 ) {
     let pei_positions: Vec<u32> = nodes
         .iter()
@@ -388,7 +387,7 @@ fn assign_accumulators(
     nodes: &[Node],
     df: &Dataflow,
     f: &mut Formation,
-    upgraded: &mut HashSet<ValueId>,
+    upgraded: &mut IdSet<ValueId>,
     acc_count: usize,
 ) -> u32 {
     let _ = nodes;
@@ -554,7 +553,7 @@ mod tests {
         // allocator fits them in fewer physical accumulators by reusing
         // expired ones, and never terminates a strand prematurely.
         assert_eq!(p.strand_count, 4, "strands: {:?}", p.node_strand);
-        let used: HashSet<Acc> = p.node_acc.iter().flatten().copied().collect();
+        let used: IdSet<Acc> = p.node_acc.iter().flatten().copied().collect();
         assert!(!used.is_empty() && used.len() <= 4, "accs used: {used:?}");
         assert_eq!(p.terminations, 0);
         // The A0 chain: ldbu, xor, and, s8addq, ldq all share one strand.

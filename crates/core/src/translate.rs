@@ -19,9 +19,8 @@ use crate::classify::{analyze, CategoryCounts, ValueId};
 use crate::fragment::{IMeta, RecoveryEntry, DISPATCH_IADDR};
 use crate::strands::{plan, Role, TranslationPlan};
 use crate::superblock::{decompose_with, CollectedFlow, Node, NodeOp, SbEnd, Superblock};
-use alpha_isa::{JumpKind, MemOp, OperateOp, PalFunc, Reg};
+use alpha_isa::{IdMap, JumpKind, MemOp, OperateOp, PalFunc, Reg};
 use ildp_isa::{ASrc, Acc, CondKind, IInst, ITarget, IsaForm, MemWidth};
-use std::collections::HashMap;
 
 /// Fragment-chaining policy (paper §3.2 and §4.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,7 +115,7 @@ pub struct TranslatedCode {
     /// Parallel metadata.
     pub meta: Vec<IMeta>,
     /// Precise-trap recovery tables (basic form).
-    pub recovery: HashMap<u32, Vec<RecoveryEntry>>,
+    pub recovery: IdMap<u32, Vec<RecoveryEntry>>,
     /// Source superblock length in V-ISA instructions.
     pub src_inst_count: u32,
     /// Emission statistics.
@@ -166,7 +165,7 @@ struct Emitter<'a> {
     plan: &'a TranslationPlan,
     insts: Vec<IInst>,
     meta: Vec<IMeta>,
-    recovery: HashMap<u32, Vec<RecoveryEntry>>,
+    recovery: IdMap<u32, Vec<RecoveryEntry>>,
     stats: TranslateStats,
     /// V-ISA instructions credited so far (for vcount attribution).
     credited: u32,
@@ -198,7 +197,7 @@ impl Translator {
             plan: &plan,
             insts: Vec::with_capacity(nodes.len() * 2),
             meta: Vec::with_capacity(nodes.len() * 2),
-            recovery: HashMap::new(),
+            recovery: IdMap::default(),
             stats: TranslateStats {
                 strands: plan.strand_count,
                 terminations: plan.terminations,

@@ -20,9 +20,8 @@ use crate::profile::{
 use crate::replay::ReplayEvent;
 use crate::snapshot::{program_digest, Snapshot};
 use crate::translate::{ChainPolicy, TranslatedCode, Translator};
-use alpha_isa::{CpuState, DecodeCache, Memory, Program, Trap};
+use alpha_isa::{CpuState, DecodeCache, IdMap, IdSet, Memory, Program, Trap};
 use ildp_uarch::{DynInst, InstClass};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -381,10 +380,10 @@ pub struct Vm<'p> {
     /// any source resets the flush window.
     window_epoch: u64,
     /// Degradation-ladder level per region entry V-address.
-    demotion: HashMap<u64, u8>,
+    demotion: IdMap<u64, u8>,
     /// SMC invalidations per region entry V-address (repeat offenders are
     /// demoted).
-    smc_counts: HashMap<u64, u32>,
+    smc_counts: IdMap<u64, u32>,
     /// Console bytes in emission order (interpreted + translated).
     output: Vec<u8>,
     /// Cache-derived stats carried over a snapshot restore:
@@ -401,15 +400,15 @@ pub struct Vm<'p> {
     store: Option<Arc<FragmentStore>>,
     /// Store keys of fragments this VM installed, so SMC invalidation and
     /// demotion also evict the shared copy.
-    store_keys: HashMap<u64, ArtifactKey>,
+    store_keys: IdMap<u64, ArtifactKey>,
     /// The source superblock behind each installed fragment, keyed by
     /// entry V-address and refreshed on every install — the raw material
     /// the region re-formation walk merges. Regions themselves are not
     /// recorded (they are never re-merged).
-    region_src: HashMap<u64, crate::Superblock>,
+    region_src: IdMap<u64, crate::Superblock>,
     /// Region heads whose re-formation the verifier refused: banned from
     /// re-promotion so a rejected merge is attempted exactly once.
-    region_banned: HashSet<u64>,
+    region_banned: IdSet<u64>,
 }
 
 /// Translates `sb` and runs the optional validator over the result.
@@ -451,17 +450,17 @@ impl<'p> Vm<'p> {
             stats: VmStats::default(),
             recent_fragments: Vec::new(),
             window_epoch: 0,
-            demotion: HashMap::new(),
-            smc_counts: HashMap::new(),
+            demotion: IdMap::default(),
+            smc_counts: IdMap::default(),
             output: Vec::new(),
             base_code_bytes: 0,
             base_evictions: 0,
             base_unlinked: 0,
             region_events: Vec::new(),
             store: None,
-            store_keys: HashMap::new(),
-            region_src: HashMap::new(),
-            region_banned: HashSet::new(),
+            store_keys: IdMap::default(),
+            region_src: IdMap::default(),
+            region_banned: IdSet::default(),
         }
     }
 

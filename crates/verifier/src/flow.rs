@@ -52,11 +52,10 @@
 //! pairs across resolved seams, the facts region re-formation
 //! (DESIGN.md §12) consumes.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::Violation;
-use alpha_isa::Reg;
+use alpha_isa::{IdMap, IdSet, Reg};
 use ildp_core::{
     ChainPolicy, CollectedFlow, Fragment, FragmentId, SbEnd, Superblock, TranslatedCode,
     TranslationCache, DISPATCH_IADDR,
@@ -313,10 +312,10 @@ pub fn summarize_fragment(frag: &Fragment) -> FragmentSummary {
 #[derive(Clone, Debug, Default)]
 pub struct ChainGraph {
     /// Successors of each fragment (resolved edges only, deduplicated).
-    pub succs: HashMap<FragmentId, Vec<FragmentId>>,
+    pub succs: IdMap<FragmentId, Vec<FragmentId>>,
     /// Fragments with at least one exit the analysis cannot see past
     /// (dispatch, indirect jump, halt, or an unresolved patchable exit).
-    pub boundary: HashMap<FragmentId, bool>,
+    pub boundary: IdMap<FragmentId, bool>,
     /// Total resolved seam edges.
     pub resolved_edges: usize,
     /// Total boundary/unresolved exits.
@@ -328,7 +327,7 @@ impl ChainGraph {
     /// entry-point map.
     pub fn from_cache(
         cache: &TranslationCache,
-        summaries: &HashMap<FragmentId, FragmentSummary>,
+        summaries: &IdMap<FragmentId, FragmentSummary>,
     ) -> ChainGraph {
         let mut g = ChainGraph::default();
         for (&id, summary) in summaries {
@@ -362,10 +361,10 @@ impl ChainGraph {
 /// set; the transfer function is monotone over a finite lattice, so the
 /// iteration reaches a fixpoint.
 pub fn solve_liveness(
-    summaries: &HashMap<FragmentId, FragmentSummary>,
+    summaries: &IdMap<FragmentId, FragmentSummary>,
     graph: &ChainGraph,
-) -> HashMap<FragmentId, RegSet> {
-    let mut live_in: HashMap<FragmentId, RegSet> =
+) -> IdMap<FragmentId, RegSet> {
+    let mut live_in: IdMap<FragmentId, RegSet> =
         summaries.iter().map(|(&id, s)| (id, s.uses)).collect();
     let mut changed = true;
     while changed {
@@ -384,11 +383,7 @@ pub fn solve_liveness(
 }
 
 /// A fragment's live-out set under the current live-in solution.
-fn live_out_of(
-    id: FragmentId,
-    graph: &ChainGraph,
-    live_in: &HashMap<FragmentId, RegSet>,
-) -> RegSet {
+fn live_out_of(id: FragmentId, graph: &ChainGraph, live_in: &IdMap<FragmentId, RegSet>) -> RegSet {
     if graph.boundary.get(&id).copied().unwrap_or(true) {
         return RegSet::ALL;
     }
@@ -552,8 +547,8 @@ fn check_acc_seams(summary: &FragmentSummary, out: &mut Vec<Violation>) {
 /// continue: collected branch targets and fall-throughs, call-return
 /// continuations (the instruction after any source instruction), the
 /// block's ending continuations, and the entry itself (self-loops).
-fn legitimate_continuations(sb: &Superblock) -> std::collections::HashSet<u64> {
-    let mut legit = std::collections::HashSet::new();
+fn legitimate_continuations(sb: &Superblock) -> IdSet<u64> {
+    let mut legit = IdSet::default();
     legit.insert(sb.start);
     for si in &sb.insts {
         legit.insert(si.vaddr + 4);
@@ -633,7 +628,7 @@ pub fn check_cache(
     policy: Option<ChainPolicy>,
 ) -> (Vec<Violation>, FlowReport) {
     let mut out = Vec::new();
-    let summaries: HashMap<FragmentId, FragmentSummary> = cache
+    let summaries: IdMap<FragmentId, FragmentSummary> = cache
         .fragments()
         .map(|f| (f.id, summarize_fragment(f)))
         .collect();
@@ -746,7 +741,7 @@ pub struct RegionCandidate {
 /// Returns only multi-fragment candidates. Deterministic: ties break
 /// toward the lower entry V-address.
 pub fn select_regions(cache: &TranslationCache, max_blocks: usize) -> Vec<RegionCandidate> {
-    let summaries: HashMap<FragmentId, FragmentSummary> = cache
+    let summaries: IdMap<FragmentId, FragmentSummary> = cache
         .fragments()
         .filter(|f| !f.is_region)
         .map(|f| (f.id, summarize_fragment(f)))
@@ -756,7 +751,7 @@ pub fn select_regions(cache: &TranslationCache, max_blocks: usize) -> Vec<Region
         let f = cache.fragment(id);
         (std::cmp::Reverse(f.entries), f.vstart)
     });
-    let mut claimed: std::collections::HashSet<FragmentId> = std::collections::HashSet::new();
+    let mut claimed: IdSet<FragmentId> = IdSet::default();
     let mut out = Vec::new();
     for head in heads {
         if claimed.contains(&head) {
@@ -810,7 +805,7 @@ pub fn select_regions(cache: &TranslationCache, max_blocks: usize) -> Vec<Region
 /// toward the lower V-address); `None` when no exit arm resolves.
 fn hottest_successor(
     cache: &TranslationCache,
-    summaries: &HashMap<FragmentId, FragmentSummary>,
+    summaries: &IdMap<FragmentId, FragmentSummary>,
     id: FragmentId,
 ) -> Option<FragmentId> {
     let summary = summaries.get(&id)?;
@@ -840,9 +835,9 @@ fn hottest_successor(
 /// Computes the per-seam opportunity counts from the liveness solution.
 fn seam_report(
     cache: &TranslationCache,
-    summaries: &HashMap<FragmentId, FragmentSummary>,
+    summaries: &IdMap<FragmentId, FragmentSummary>,
     graph: &ChainGraph,
-    live_in: &HashMap<FragmentId, RegSet>,
+    live_in: &IdMap<FragmentId, RegSet>,
 ) -> FlowReport {
     let mut report = FlowReport {
         fragments: summaries.len() as u64,
@@ -889,13 +884,13 @@ fn dead_copy_outs(
     cache: &TranslationCache,
     id: FragmentId,
     summary: &FragmentSummary,
-    live_in: &HashMap<FragmentId, RegSet>,
+    live_in: &IdMap<FragmentId, RegSet>,
 ) -> u64 {
     if summary.copy_outs.is_empty() {
         return 0;
     }
     let frag = cache.fragment(id);
-    let mut exit_live: HashMap<u32, RegSet> = HashMap::new();
+    let mut exit_live: IdMap<u32, RegSet> = IdMap::default();
     for arm in &summary.exits {
         let live = match arm.itarget.and_then(|a| cache.lookup_iaddr(a)) {
             Some(tid) => live_in.get(&tid).copied().unwrap_or(RegSet::ALL),
@@ -940,13 +935,13 @@ fn dead_copy_outs(
 pub fn check_dynamic(cache: &TranslationCache, trace: &[DynInst]) -> Vec<Violation> {
     let mut out = Vec::new();
     // PC → (fragment, instruction index) over the live cache.
-    let mut by_pc: HashMap<u64, (FragmentId, u32)> = HashMap::new();
+    let mut by_pc: IdMap<u64, (FragmentId, u32)> = IdMap::default();
     for f in cache.fragments() {
         for (k, &pc) in f.iaddrs.iter().enumerate() {
             by_pc.insert(pc, (f.id, k as u32));
         }
     }
-    let mut reported: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+    let mut reported: IdSet<(u32, u32)> = IdSet::default();
     let mut acc_written = [false; Acc::MAX_ACCUMULATORS];
     let mut current: Option<FragmentId> = None;
     for d in trace {
@@ -1054,7 +1049,6 @@ mod tests {
     use super::*;
     use ildp_core::IMeta;
     use ildp_isa::{ASrc, IsaForm, MemWidth};
-    use std::collections::HashMap as Map;
 
     fn r(n: u8) -> Reg {
         Reg::new(n)
@@ -1142,9 +1136,9 @@ mod tests {
         ];
         let am = meta_for(&a_insts, 0x1000);
         let bm = meta_for(&b_insts, 0x2000);
-        let aid = cache.install(0x1000, IsaForm::Basic, a_insts, am, 1, Map::new());
-        let bid = cache.install(0x2000, IsaForm::Basic, b_insts, bm, 1, Map::new());
-        let summaries: HashMap<FragmentId, FragmentSummary> = cache
+        let aid = cache.install(0x1000, IsaForm::Basic, a_insts, am, 1, IdMap::default());
+        let bid = cache.install(0x2000, IsaForm::Basic, b_insts, bm, 1, IdMap::default());
+        let summaries: IdMap<FragmentId, FragmentSummary> = cache
             .fragments()
             .map(|f| (f.id, summarize_fragment(f)))
             .collect();
@@ -1198,8 +1192,8 @@ mod tests {
         ];
         let am = meta_for(&a_insts, 0x1000);
         let bm = meta_for(&b_insts, 0x2000);
-        cache.install(0x1000, IsaForm::Modified, a_insts, am, 1, Map::new());
-        cache.install(0x2000, IsaForm::Modified, b_insts, bm, 1, Map::new());
+        cache.install(0x1000, IsaForm::Modified, a_insts, am, 1, IdMap::default());
+        cache.install(0x2000, IsaForm::Modified, b_insts, bm, 1, IdMap::default());
         let (violations, report) = check_cache(&cache, None);
         assert!(violations.is_empty(), "{violations:?}");
         // B's self-loop is fully resolved: r5 is provably dead at A's
@@ -1216,13 +1210,13 @@ mod tests {
         ];
         let mk_leaf = |v: u64| vec![IInst::SetVpcBase { vaddr: v }, IInst::Halt];
         let am = meta_for(&a_insts, 0x1000);
-        let aid = cache.install(0x1000, IsaForm::Modified, a_insts, am, 1, Map::new());
+        let aid = cache.install(0x1000, IsaForm::Modified, a_insts, am, 1, IdMap::default());
         let b = mk_leaf(0x2000);
         let bm = meta_for(&b, 0x2000);
-        cache.install(0x2000, IsaForm::Modified, b, bm, 1, Map::new());
+        cache.install(0x2000, IsaForm::Modified, b, bm, 1, IdMap::default());
         let c = mk_leaf(0x3000);
         let cm = meta_for(&c, 0x3000);
-        let cid = cache.install(0x3000, IsaForm::Modified, c, cm, 1, Map::new());
+        let cid = cache.install(0x3000, IsaForm::Modified, c, cm, 1, IdMap::default());
         let (violations, _) = check_cache(&cache, None);
         assert!(violations.is_empty(), "{violations:?}");
         // Redirect A's patched branch to C's entry — a *valid* fragment
@@ -1251,13 +1245,13 @@ mod tests {
             IInst::Halt,
         ];
         let am = meta_for(&a_insts, 0x1000);
-        let aid = cache.install(0x1000, IsaForm::Modified, a_insts, am, 1, Map::new());
+        let aid = cache.install(0x1000, IsaForm::Modified, a_insts, am, 1, IdMap::default());
         let b = vec![IInst::SetVpcBase { vaddr: 0x2000 }, IInst::Halt];
         let bm = meta_for(&b, 0x2000);
-        cache.install(0x2000, IsaForm::Modified, b, bm, 1, Map::new());
+        cache.install(0x2000, IsaForm::Modified, b, bm, 1, IdMap::default());
         let c = vec![IInst::SetVpcBase { vaddr: 0x3000 }, IInst::Halt];
         let cm = meta_for(&c, 0x3000);
-        let cid = cache.install(0x3000, IsaForm::Modified, c, cm, 1, Map::new());
+        let cid = cache.install(0x3000, IsaForm::Modified, c, cm, 1, IdMap::default());
         let (violations, _) = check_cache(&cache, Some(ChainPolicy::SwPredDualRas));
         assert!(violations.is_empty(), "{violations:?}");
         // Poison the resolved push to another legitimate entry.
@@ -1294,7 +1288,7 @@ mod tests {
             IInst::Halt,
         ];
         let m = meta_for(&insts, 0x1000);
-        let fid = cache.install(0x1000, IsaForm::Basic, insts, m, 1, Map::new());
+        let fid = cache.install(0x1000, IsaForm::Basic, insts, m, 1, IdMap::default());
         let trace: Vec<DynInst> = cache.fragment(fid).templates.clone();
         assert!(check_dynamic(&cache, &trace).is_empty());
         // (a) Tamper the installed load's source register: the recorded
@@ -1329,10 +1323,10 @@ mod tests {
         };
         let a = mk(0x1000, 0x2000);
         let am = meta_for(&a, 0x1000);
-        let aid = cache.install(0x1000, IsaForm::Modified, a, am, 1, Map::new());
+        let aid = cache.install(0x1000, IsaForm::Modified, a, am, 1, IdMap::default());
         let b = mk(0x2000, 0x1000);
         let bm = meta_for(&b, 0x2000);
-        let bid = cache.install(0x2000, IsaForm::Modified, b, bm, 1, Map::new());
+        let bid = cache.install(0x2000, IsaForm::Modified, b, bm, 1, IdMap::default());
         cache.fragment_mut(aid).entries = 10;
         cache.fragment_mut(bid).entries = 5;
         let regions = select_regions(&cache, 8);
@@ -1355,7 +1349,7 @@ mod tests {
             IInst::Halt,
         ];
         let m = meta_for(&insts, 0x1000);
-        let fid = cache.install(0x1000, IsaForm::Modified, insts, m, 1, Map::new());
+        let fid = cache.install(0x1000, IsaForm::Modified, insts, m, 1, IdMap::default());
         // A plain fragment may branch to its own entry anywhere.
         let (violations, report) = check_cache(&cache, None);
         assert!(violations.is_empty(), "{violations:?}");

@@ -23,12 +23,11 @@
 //! `x + 0` / `x | 0` identities), so a correct translation yields
 //! structurally identical trees even where the emitter simplified.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 use crate::Violation;
-use alpha_isa::{Inst, MemOp, Operand, OperateOp, PalFunc, Reg};
+use alpha_isa::{IdMap, Inst, MemOp, Operand, OperateOp, PalFunc, Reg};
 use ildp_core::{CollectedFlow, SbEnd, Superblock, TranslatedCode, Translator};
 use ildp_isa::{ASrc, CondKind, IInst, MemWidth};
 
@@ -140,7 +139,7 @@ impl Expr {
 /// address pair so every pair of DAG nodes is compared at most once. The
 /// memo must not outlive the expressions it keys (addresses would go
 /// stale); [`check`] scopes one to a single fragment comparison.
-fn expr_eq(a: &Rc<Expr>, b: &Rc<Expr>, memo: &mut HashMap<(usize, usize), bool>) -> bool {
+fn expr_eq(a: &Rc<Expr>, b: &Rc<Expr>, memo: &mut IdMap<(usize, usize), bool>) -> bool {
     if Rc::ptr_eq(a, b) {
         return true;
     }
@@ -744,7 +743,7 @@ pub(crate) fn check(
     // One equality memo spans every comparison below: `alpha` and `frag`
     // keep all compared expressions alive, so the node addresses it keys
     // stay valid for the whole pass.
-    let memo = &mut HashMap::new();
+    let memo = &mut IdMap::default();
 
     // E03 — exit skeleton.
     if alpha.exits.len() != frag.exits.len() {
