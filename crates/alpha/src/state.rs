@@ -58,6 +58,22 @@ impl CpuState {
         }
     }
 
+    /// Reads a register the caller knows is not `R31` (translated code
+    /// folds `R31` away when it is installed), skipping the zero test.
+    #[inline]
+    pub fn read_live(&self, r: Reg) -> u64 {
+        debug_assert!(!r.is_zero(), "read_live of R31");
+        self.regs[usize::from(r.number() & 31)]
+    }
+
+    /// Writes a register the caller knows is not `R31`, skipping the zero
+    /// test (see [`read_live`](CpuState::read_live)).
+    #[inline]
+    pub fn write_live(&mut self, r: Reg, value: u64) {
+        debug_assert!(!r.is_zero(), "write_live of R31");
+        self.regs[usize::from(r.number() & 31)] = value;
+    }
+
     /// Snapshot of all 32 register values (`R31` reported as zero).
     pub fn registers(&self) -> [u64; 32] {
         let mut out = self.regs;

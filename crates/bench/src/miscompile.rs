@@ -840,11 +840,12 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                 let (c, _) = leaf(0x3000);
                 let cid = install(&mut cache, 0x3000, c);
                 let c_start = cache.fragment(cid).istart;
-                let fa = cache.fragment_mut(aid);
-                fa.insts[1] = IInst::Branch {
-                    target: ITarget::Addr(c_start),
-                };
-                fa.links[1] = Some(cid);
+                cache.edit_fragment(aid, |insts, links| {
+                    insts[1] = IInst::Branch {
+                        target: ITarget::Addr(c_start),
+                    };
+                    links[1] = Some(cid);
+                });
                 flow::check_cache(&cache, None).0
             },
         },
@@ -869,9 +870,11 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                 let (c, _) = leaf(0x3000);
                 let cid = install(&mut cache, 0x3000, c);
                 let c_start = cache.fragment(cid).istart;
-                if let IInst::PushDualRas { iret, .. } = &mut cache.fragment_mut(aid).insts[0] {
-                    *iret = ITarget::Addr(c_start);
-                }
+                cache.edit_fragment(aid, |insts, _| {
+                    if let IInst::PushDualRas { iret, .. } = &mut insts[0] {
+                        *iret = ITarget::Addr(c_start);
+                    }
+                });
                 flow::check_cache(&cache, Some(ChainPolicy::SwPredDualRas)).0
             },
         },
@@ -916,9 +919,11 @@ pub fn flow_cache_seeds() -> Vec<CacheSeed> {
                     ],
                 );
                 let trace = cache.fragment(fid).templates.clone();
-                if let IInst::CopyFromGpr { src, .. } = &mut cache.fragment_mut(fid).insts[1] {
-                    *src = Reg::new(7);
-                }
+                cache.edit_fragment(fid, |insts, _| {
+                    if let IInst::CopyFromGpr { src, .. } = &mut insts[1] {
+                        *src = Reg::new(7);
+                    }
+                });
                 flow::check_dynamic(&cache, &trace)
             },
         },

@@ -232,8 +232,11 @@ impl<'a, 'p> LogDriver<'a, 'p> {
             if self.corrupted.contains(&id.0) {
                 continue;
             }
-            let f = self.vm.cache_mut().fragment_mut(id);
-            if sabotage_insts(&mut f.insts, rule) {
+            let landed = self
+                .vm
+                .cache_mut()
+                .edit_fragment(id, |insts, _| sabotage_insts(insts, rule));
+            if landed {
                 self.corrupted.insert(id.0);
             }
         }

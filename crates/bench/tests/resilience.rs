@@ -8,9 +8,9 @@ use alpha_isa::parse_program;
 use ildp_bench::chaos::{chaos_cell, interp_reference};
 use ildp_core::{
     ChainPolicy, EngineConfig, FlushPolicy, InstallReview, NullSink, OnViolation, ProfileConfig,
-    Translator, Vm, VmConfig, VmExit,
+    Translator, Vm, VmConfig, VmError, VmExit,
 };
-use ildp_isa::IsaForm;
+use ildp_isa::{IInst, IsaForm};
 use ildp_verifier::verify_installed;
 use spec_workloads::suite;
 
@@ -231,6 +231,35 @@ fn external_flush_resets_policy_window() {
         0,
         "stale window timestamps double-flushed after the external flush"
     );
+}
+
+/// A cache edit reaches the engine with no audit in between: once every
+/// branch of a warmed-up cache has lost its direct link, the next taken
+/// transfer is a contained `UnlinkedTransfer` fault, not a silent jump
+/// along the stale link.
+#[test]
+fn edited_links_reach_the_engine() {
+    let w = spec_workloads::by_name("gzip", 1).unwrap();
+    let mid = interp_reference(&w.program, w.budget * 2).unwrap().insts / 2;
+    let mut vm = Vm::new(base_config(IsaForm::Modified), &w.program);
+    assert_eq!(vm.run(mid, &mut NullSink), VmExit::Budget);
+    let ids: Vec<_> = vm.cache().fragments().map(|f| f.id).collect();
+    assert!(!ids.is_empty(), "nothing translated by mid-run");
+    for id in ids {
+        vm.cache_mut().edit_fragment(id, |insts, links| {
+            for (inst, link) in insts.iter().zip(links) {
+                if matches!(inst, IInst::Branch { .. } | IInst::CondBranch { .. }) {
+                    *link = None;
+                }
+            }
+        });
+    }
+    match vm.run(w.budget * 2, &mut NullSink) {
+        VmExit::Fault {
+            error: VmError::UnlinkedTransfer { .. },
+        } => {}
+        other => panic!("expected an unlinked-transfer fault, got {other:?}"),
+    }
 }
 
 /// One full chaos cell as part of the ordinary test suite: seeded fault

@@ -15,8 +15,9 @@ use crate::error::VmError;
 use crate::fragment::{
     FragmentId, RetireSums, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
 };
-use alpha_isa::{AlignPolicy, CpuState, JumpKind, Memory, Reg, Trap};
-use ildp_isa::{ASrc, Acc, IInst, ITarget, MemWidth};
+use crate::lower::{Alu, Fault, Op, Src};
+use alpha_isa::{AlignPolicy, CpuState, Memory, Reg, Trap};
+use ildp_isa::{Acc, IInst, ITarget, MemWidth};
 use ildp_uarch::{DynInst, InstClass};
 
 /// Consumes the retired-instruction stream.
@@ -272,7 +273,13 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.ras_depth` is zero: the dual-address RAS needs
+    /// at least one entry.
     pub fn new(config: EngineConfig) -> Engine {
+        assert!(config.ras_depth > 0, "dual-RAS depth must be positive");
         Engine {
             config,
             accs: [0; Acc::MAX_ACCUMULATORS],
@@ -300,12 +307,29 @@ impl Engine {
         Some(entry)
     }
 
-    #[inline]
-    fn val(&self, src: ASrc, acc: Acc, cpu: &CpuState) -> u64 {
+    /// Reads a lowered source operand of an op on accumulator `acc`.
+    #[inline(always)]
+    fn src(&self, src: Src, acc: Acc, cpu: &CpuState) -> u64 {
         match src {
-            ASrc::Acc => self.accs[acc.index()],
-            ASrc::Gpr(r) => cpu.read(r),
-            ASrc::Imm(v) => v as i64 as u64,
+            Src::Acc => self.accs[acc.index()],
+            Src::Gpr(r) => cpu.read_live(r),
+            Src::Imm(v) => v as i64 as u64,
+        }
+    }
+
+    /// Reads an ALU op's two operands.
+    #[inline(always)]
+    fn operands(&self, a: Alu, cpu: &CpuState) -> (u64, u64) {
+        (self.src(a.lhs, a.acc, cpu), self.src(a.rhs, a.acc, cpu))
+    }
+
+    /// Writes an op's result to its accumulator and, in the modified
+    /// form, to its destination GPR.
+    #[inline(always)]
+    fn set(&mut self, acc: Acc, dst: Option<Reg>, value: u64, cpu: &mut CpuState) {
+        self.accs[acc.index()] = value;
+        if let Some(r) = dst {
+            cpu.write_live(r, value);
         }
     }
 
@@ -450,14 +474,15 @@ impl Engine {
             }
             self.stats.fragment_entries += 1;
             let frag = cache.fragment(fid);
-            let insts = frag.insts.as_slice();
-            // Reslicing the parallel arrays to the instruction count lets
-            // the loop below index them without further bounds checks once
-            // `insts.get(idx)` has succeeded.
-            let metas = &frag.meta.as_slice()[..insts.len()];
-            let links = &frag.links.as_slice()[..insts.len()];
-            let templates = frag.templates.as_slice();
-            let prefix = &frag.retire_prefix.as_slice()[..=insts.len()];
+            // The engine runs the fragment's lowered ops; `insts` is read
+            // only to patch trace records. Reslicing the parallel arrays to
+            // the op count lets the loop below index them without further
+            // bounds checks once `ops.get(idx)` has succeeded.
+            let ops = frag.ops.as_slice();
+            let insts = &frag.insts.as_slice()[..ops.len()];
+            let metas = &frag.meta.as_slice()[..ops.len()];
+            let templates = &frag.templates.as_slice()[..ops.len()];
+            let prefix = &frag.retire_prefix.as_slice()[..=ops.len()];
             // Self-transfers (a fragment branching back to its own head,
             // the shape every re-formed loop region resolves to) restart
             // the instruction loop below without re-entering `'fragment`;
@@ -473,7 +498,7 @@ impl Engine {
             let loop_entry = usize::from(matches!(insts.first(), Some(IInst::SetVpcBase { .. })));
             let mut idx: usize = 0;
             loop {
-                let Some(&inst) = insts.get(idx) else {
+                let Some(&op) = ops.get(idx) else {
                     // Ran off the fragment's end without a block terminal —
                     // only reachable through corruption.
                     pass.finish(&mut self.stats, cache, fid, idx);
@@ -481,7 +506,6 @@ impl Engine {
                         error: VmError::FragmentOverrun { fragment: fid.0 },
                     };
                 };
-                let link = links[idx];
 
                 // The install-time template carries every static record field;
                 // only dynamic outcomes (taken, mem_addr, v_target, the taken
@@ -492,298 +516,32 @@ impl Engine {
                     DynInst::alu(0, 0)
                 };
 
-                // Control decision made while executing; `None` means fall
-                // through to idx + 1.
-                let mut goto: Option<FragmentId> = None;
-                let mut exit: Option<FragExit> = None;
-
-                match inst {
-                    IInst::Op {
-                        op,
-                        acc,
-                        lhs,
-                        rhs,
-                        dst,
-                    } => {
-                        let a = self.val(lhs, acc, cpu);
-                        let b = self.val(rhs, acc, cpu);
-                        let result = if op.is_cmov() {
-                            // Defensive: cmov ops in Op form select against the
-                            // current accumulator value.
-                            if op.cmov_taken(a) {
-                                b
-                            } else {
-                                self.accs[acc.index()]
-                            }
-                        } else {
-                            op.eval(a, b)
-                        };
-                        self.accs[acc.index()] = result;
-                        if let Some(r) = dst {
-                            cpu.write(r, result);
-                        }
-                    }
-                    IInst::AddHigh { acc, src, imm, dst } => {
-                        let base = self.val(src, acc, cpu);
-                        let result = base.wrapping_add(((imm as i64) << 16) as u64);
-                        self.accs[acc.index()] = result;
-                        if let Some(r) = dst {
-                            cpu.write(r, result);
-                        }
-                    }
-                    IInst::CmovSelect {
-                        acc,
-                        lbs,
-                        value,
-                        old,
-                        dst,
-                    } => {
-                        let test = self.accs[acc.index()];
-                        let taken = (test & 1 == 1) == lbs;
-                        let result = if taken {
-                            self.val(value, acc, cpu)
-                        } else {
-                            cpu.read(old)
-                        };
-                        self.accs[acc.index()] = result;
-                        if let Some(r) = dst {
-                            cpu.write(r, result);
-                        }
-                    }
-                    IInst::Load {
-                        acc,
-                        width,
-                        addr,
-                        disp,
-                        dst,
-                    } => {
-                        let a = self.val(addr, acc, cpu).wrapping_add(disp as i64 as u64);
-                        match check_align(a, width, self.config.align) {
-                            Err(trap) => {
-                                exit = Some(FragExit::Trap {
-                                    vaddr: metas[idx].vaddr,
-                                    trap,
-                                    state: self.recover_state(cache, fid, idx as u32, cpu),
-                                });
-                            }
-                            Ok(()) => {
-                                if S::TRACING {
-                                    d.mem_addr = Some(a);
-                                }
-                                let v = match width {
-                                    MemWidth::U8 => mem.read_u8(a) as u64,
-                                    MemWidth::U16 => mem.read_u16(a) as u64,
-                                    MemWidth::I32 => mem.read_u32(a) as i32 as i64 as u64,
-                                    MemWidth::U64 => mem.read_u64(a),
-                                };
-                                self.accs[acc.index()] = v;
-                                if let Some(r) = dst {
-                                    cpu.write(r, v);
-                                }
-                            }
-                        }
-                    }
-                    IInst::Store {
-                        acc,
-                        width,
-                        addr,
-                        disp,
-                        value,
-                    } => {
-                        let a = self.val(addr, acc, cpu).wrapping_add(disp as i64 as u64);
-                        match check_align(a, width, self.config.align) {
-                            Err(trap) => {
-                                exit = Some(FragExit::Trap {
-                                    vaddr: metas[idx].vaddr,
-                                    trap,
-                                    state: self.recover_state(cache, fid, idx as u32, cpu),
-                                });
-                            }
-                            Ok(()) => {
-                                let len = width.bytes() as u64;
-                                if cache.smc_hit(a, len) {
-                                    // Self-modifying code: surface the store
-                                    // *before* it executes, with precise state
-                                    // (the store's recovery table), and leave
-                                    // it unretired: the pass ends before it,
-                                    // and the VM re-runs it interpretively
-                                    // after invalidating the affected
-                                    // fragments.
-                                    let exit = FragExit::SmcStore {
-                                        addr: a,
-                                        len,
-                                        vaddr: metas[idx].vaddr,
-                                        state: self.recover_state(cache, fid, idx as u32, cpu),
-                                    };
-                                    pass.finish(&mut self.stats, cache, fid, idx);
-                                    return exit;
-                                }
-                                if S::TRACING {
-                                    d.mem_addr = Some(a);
-                                }
-                                let v = self.val(value, acc, cpu);
-                                match width {
-                                    MemWidth::U8 => mem.write_u8(a, v as u8),
-                                    MemWidth::U16 => mem.write_u16(a, v as u16),
-                                    MemWidth::I32 => mem.write_u32(a, v as u32),
-                                    MemWidth::U64 => mem.write_u64(a, v),
-                                }
-                            }
-                        }
-                    }
-                    IInst::CopyToGpr { acc, dst } => {
-                        cpu.write(dst, self.accs[acc.index()]);
-                    }
-                    IInst::CopyFromGpr { acc, src } => {
-                        self.accs[acc.index()] = cpu.read(src);
-                    }
-                    IInst::CondBranch {
-                        acc,
-                        cond,
-                        src,
-                        target,
-                    } => {
-                        let taken = cond.eval(self.val(src, acc, cpu));
-                        if taken {
-                            // Every resolved branch keeps its direct link in
-                            // lockstep with the instruction word; a missing
-                            // link means the target fragment vanished without
-                            // this site being un-patched.
-                            match link {
-                                Some(t) => {
-                                    if S::TRACING {
-                                        d.taken = true;
-                                        if let ITarget::Addr(a) = target {
-                                            d.next_pc = a;
-                                        }
-                                    }
-                                    goto = Some(t);
-                                }
-                                None => {
-                                    exit = Some(FragExit::Fault {
-                                        error: VmError::UnlinkedTransfer {
-                                            fragment: fid.0,
-                                            index: idx as u32,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    IInst::Branch { .. } => {
-                        // class, taken and next_pc are static — already in the
-                        // template.
-                        match link {
-                            Some(t) => goto = Some(t),
-                            None => {
-                                exit = Some(FragExit::Fault {
-                                    error: VmError::UnlinkedTransfer {
-                                        fragment: fid.0,
-                                        index: idx as u32,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    IInst::IndirectJump { acc, kind, addr } => {
-                        debug_assert_eq!(kind, JumpKind::Ret, "only returns reach the engine");
-                        let actual_v = self.val(addr, acc, cpu) & !3u64;
+                // Retires the op and falls through to the next one.
+                macro_rules! next {
+                    () => {{
                         if S::TRACING {
-                            d.v_target = actual_v;
+                            sink.retire(&d);
                         }
-                        match self.ras_pop() {
-                            Some(e) if e.v == actual_v => {
-                                self.stats.ras_hits += 1;
-                                if S::TRACING {
-                                    d.taken = true;
-                                    d.next_pc = e.i;
-                                }
-                                // The direct link is valid only within the epoch
-                                // it was captured in: a stale link (the cache was
-                                // flushed since the push) and an unresolved push
-                                // (no link) both go through dispatch,
-                                // architecturally correct either way.
-                                match e.link.filter(|_| e.epoch == cache.epoch()) {
-                                    Some(t) => goto = Some(t),
-                                    None => {
-                                        if S::TRACING {
-                                            sink.retire(&d);
-                                        }
-                                        pass.finish(&mut self.stats, cache, fid, idx + 1);
-                                        let target = cache.lookup(actual_v);
-                                        let ti = target.map(|t| cache.fragment(t).istart);
-                                        self.run_dispatch(actual_v, ti, sink);
-                                        match target {
-                                            Some(t) => {
-                                                fid = t;
-                                                continue 'fragment;
-                                            }
-                                            None => {
-                                                return FragExit::NotTranslated {
-                                                    vtarget: actual_v,
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            _ => {
-                                // Mismatch: fall through to the dispatch
-                                // instruction that follows the return (the
-                                // template's taken stays false).
-                                self.stats.ras_misses += 1;
-                            }
-                        }
-                    }
-                    IInst::SetVpcBase { .. } => {}
-                    IInst::LoadEmbeddedTarget { acc, vaddr } => {
-                        self.accs[acc.index()] = vaddr;
-                    }
-                    IInst::SaveVReturn { dst, vaddr } => {
-                        cpu.write(dst, vaddr);
-                    }
-                    IInst::PushDualRas { vret, iret } => {
-                        // class and ras_pair are static — in the template.
-                        match iret {
-                            ITarget::Addr(i) => self.ras_push(RasEntry {
-                                v: vret,
-                                i,
-                                link,
-                                epoch: cache.epoch(),
-                            }),
-                            ITarget::Local(_) => {
-                                exit = Some(FragExit::Fault {
-                                    error: VmError::UnresolvedDualRas {
-                                        fragment: fid.0,
-                                        index: idx as u32,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    IInst::CallTranslatorIfCond {
-                        acc,
-                        cond,
-                        src,
-                        vtarget,
-                    } => {
-                        let taken = cond.eval(self.val(src, acc, cpu));
+                        idx += 1;
+                        continue;
+                    }};
+                }
+                // Retires the op and leaves the engine with `exit`.
+                macro_rules! leave {
+                    ($exit:expr) => {{
+                        let exit = $exit;
                         if S::TRACING {
-                            d.taken = taken;
-                            if taken {
-                                d.next_pc = DISPATCH_IADDR;
-                            }
+                            sink.retire(&d);
                         }
-                        if taken {
-                            exit = Some(FragExit::NotTranslated { vtarget });
-                        }
-                    }
-                    IInst::CallTranslator { vtarget } => {
-                        // class, taken and next_pc are static — in the template.
-                        exit = Some(FragExit::NotTranslated { vtarget });
-                    }
-                    IInst::Dispatch { acc, src } => {
-                        let v = self.val(src, acc, cpu) & !3u64;
+                        pass.finish(&mut self.stats, cache, fid, idx + 1);
+                        return exit;
+                    }};
+                }
+                // Retires the op, then runs the shared dispatch code for
+                // V-address `v` and continues at its fragment, if any.
+                macro_rules! dispatch {
+                    ($v:expr) => {{
+                        let v = $v;
                         if S::TRACING {
                             sink.retire(&d);
                         }
@@ -798,77 +556,299 @@ impl Engine {
                             }
                             None => return FragExit::NotTranslated { vtarget: v },
                         }
+                    }};
+                }
+
+                // Every arm either falls through (`next!`), leaves the
+                // engine, or yields the fragment a taken transfer enters.
+                let target = match op {
+                    Op::Nop => next!(),
+                    Op::Addq(a) => {
+                        let (lhs, rhs) = self.operands(a, cpu);
+                        self.set(a.acc, a.dst, lhs.wrapping_add(rhs), cpu);
+                        next!()
                     }
-                    IInst::GenTrap => {
+                    Op::Subq(a) => {
+                        let (lhs, rhs) = self.operands(a, cpu);
+                        self.set(a.acc, a.dst, lhs.wrapping_sub(rhs), cpu);
+                        next!()
+                    }
+                    Op::Alu(op, a) => {
+                        let (lhs, rhs) = self.operands(a, cpu);
+                        self.set(a.acc, a.dst, op.eval(lhs, rhs), cpu);
+                        next!()
+                    }
+                    Op::Cmov(op, a) => {
+                        // Defensive: cmov ops in Op form select against the
+                        // current accumulator value.
+                        let (lhs, rhs) = self.operands(a, cpu);
+                        let keep = self.accs[a.acc.index()];
+                        let result = if op.cmov_taken(lhs) { rhs } else { keep };
+                        self.set(a.acc, a.dst, result, cpu);
+                        next!()
+                    }
+                    Op::CmovSelect {
+                        acc,
+                        lbs,
+                        value,
+                        old,
+                        dst,
+                    } => {
+                        let taken = (self.accs[acc.index()] & 1 == 1) == lbs;
+                        let result = self.src(if taken { value } else { old }, acc, cpu);
+                        self.set(acc, dst, result, cpu);
+                        next!()
+                    }
+                    Op::Load {
+                        acc,
+                        width,
+                        addr,
+                        disp,
+                        dst,
+                    } => {
+                        let a = self.src(addr, acc, cpu).wrapping_add(disp as i64 as u64);
+                        if let Err(trap) = check_align(a, width, self.config.align) {
+                            leave!(FragExit::Trap {
+                                vaddr: metas[idx].vaddr,
+                                trap,
+                                state: self.recover_state(cache, fid, idx as u32, cpu),
+                            })
+                        }
+                        if S::TRACING {
+                            d.mem_addr = Some(a);
+                        }
+                        let v = match width {
+                            MemWidth::U8 => mem.read_u8(a) as u64,
+                            MemWidth::U16 => mem.read_u16(a) as u64,
+                            MemWidth::I32 => mem.read_u32(a) as i32 as i64 as u64,
+                            MemWidth::U64 => mem.read_u64(a),
+                        };
+                        self.set(acc, dst, v, cpu);
+                        next!()
+                    }
+                    Op::Store {
+                        acc,
+                        width,
+                        addr,
+                        disp,
+                        value,
+                    } => {
+                        let a = self.src(addr, acc, cpu).wrapping_add(disp as i64 as u64);
+                        if let Err(trap) = check_align(a, width, self.config.align) {
+                            leave!(FragExit::Trap {
+                                vaddr: metas[idx].vaddr,
+                                trap,
+                                state: self.recover_state(cache, fid, idx as u32, cpu),
+                            })
+                        }
+                        let len = width.bytes() as u64;
+                        if cache.smc_hit(a, len) {
+                            // Self-modifying code: surface the store
+                            // *before* it executes, with precise state (the
+                            // store's recovery table), and leave it
+                            // unretired: the pass ends before it, and the VM
+                            // re-runs it interpretively after invalidating
+                            // the affected fragments.
+                            let exit = FragExit::SmcStore {
+                                addr: a,
+                                len,
+                                vaddr: metas[idx].vaddr,
+                                state: self.recover_state(cache, fid, idx as u32, cpu),
+                            };
+                            pass.finish(&mut self.stats, cache, fid, idx);
+                            return exit;
+                        }
+                        if S::TRACING {
+                            d.mem_addr = Some(a);
+                        }
+                        let v = self.src(value, acc, cpu);
+                        match width {
+                            MemWidth::U8 => mem.write_u8(a, v as u8),
+                            MemWidth::U16 => mem.write_u16(a, v as u16),
+                            MemWidth::I32 => mem.write_u32(a, v as u32),
+                            MemWidth::U64 => mem.write_u64(a, v),
+                        }
+                        next!()
+                    }
+                    Op::CopyToGpr { acc, dst } => {
+                        cpu.write_live(dst, self.accs[acc.index()]);
+                        next!()
+                    }
+                    Op::CopyFromGpr { acc, src } => {
+                        self.accs[acc.index()] = cpu.read_live(src);
+                        next!()
+                    }
+                    Op::SetAcc { acc, value } => {
+                        self.accs[acc.index()] = value;
+                        next!()
+                    }
+                    Op::SetGpr { dst, value } => {
+                        cpu.write_live(dst, value);
+                        next!()
+                    }
+                    Op::CondBranch {
+                        acc,
+                        cond,
+                        src,
+                        link,
+                    } => {
+                        if !cond.eval(self.src(src, acc, cpu)) {
+                            next!()
+                        }
+                        if S::TRACING {
+                            d.taken = true;
+                            if let IInst::CondBranch {
+                                target: ITarget::Addr(a),
+                                ..
+                            } = insts[idx]
+                            {
+                                d.next_pc = a;
+                            }
+                        }
+                        link
+                    }
+                    Op::CondBranchUnlinked { acc, cond, src } => {
+                        if !cond.eval(self.src(src, acc, cpu)) {
+                            next!()
+                        }
+                        // Every resolved branch keeps its direct link in
+                        // lockstep with the instruction word; a missing link
+                        // means the target fragment vanished without this
+                        // site being un-patched.
+                        leave!(fault_exit(Fault::UnlinkedTransfer, fid, idx))
+                    }
+                    // class, taken and next_pc are static — already in the
+                    // template.
+                    Op::Branch { link } => link,
+                    Op::Ret { acc, addr } => {
+                        let actual_v = self.src(addr, acc, cpu) & !3u64;
+                        if S::TRACING {
+                            d.v_target = actual_v;
+                        }
+                        match self.ras_pop() {
+                            Some(e) if e.v == actual_v => {
+                                self.stats.ras_hits += 1;
+                                if S::TRACING {
+                                    d.taken = true;
+                                    d.next_pc = e.i;
+                                }
+                                // The direct link is valid only within the
+                                // epoch it was captured in: a stale link (the
+                                // cache was flushed since the push) and an
+                                // unresolved push (no link) both go through
+                                // dispatch, architecturally correct either way.
+                                match e.link.filter(|_| e.epoch == cache.epoch()) {
+                                    Some(t) => t,
+                                    None => dispatch!(actual_v),
+                                }
+                            }
+                            _ => {
+                                // Mismatch: fall through to the dispatch
+                                // instruction that follows the return (the
+                                // template's taken stays false).
+                                self.stats.ras_misses += 1;
+                                next!()
+                            }
+                        }
+                    }
+                    // class and ras_pair are static — in the template.
+                    Op::PushRas { vret, iret } => {
+                        self.ras_push(RasEntry {
+                            v: vret,
+                            i: iret,
+                            link: None,
+                            epoch: cache.epoch(),
+                        });
+                        next!()
+                    }
+                    Op::PushRasLinked { vret, iret, link } => {
+                        self.ras_push(RasEntry {
+                            v: vret,
+                            i: iret,
+                            link: Some(link),
+                            epoch: cache.epoch(),
+                        });
+                        next!()
+                    }
+                    Op::ExitIf {
+                        acc,
+                        cond,
+                        src,
+                        vtarget,
+                    } => {
+                        if !cond.eval(self.src(src, acc, cpu)) {
+                            next!()
+                        }
+                        if S::TRACING {
+                            d.taken = true;
+                            d.next_pc = DISPATCH_IADDR;
+                        }
+                        leave!(FragExit::NotTranslated { vtarget })
+                    }
+                    // class, taken and next_pc are static — in the template.
+                    Op::Exit { vtarget } => leave!(FragExit::NotTranslated { vtarget }),
+                    Op::Dispatch { acc, src } => dispatch!(self.src(src, acc, cpu) & !3u64),
+                    Op::GenTrap => {
                         let state = self.recover_state(cache, fid, idx as u32, cpu);
-                        exit = Some(FragExit::Trap {
+                        leave!(FragExit::Trap {
                             vaddr: metas[idx].vaddr,
                             trap: Trap::GenTrap {
                                 code: state[Reg::A0.number() as usize],
                             },
                             state,
-                        });
+                        })
                     }
-                    IInst::PutChar { acc, src } => {
-                        let b = self.val(src, acc, cpu) as u8;
+                    Op::PutChar { acc, src } => {
+                        let b = self.src(src, acc, cpu) as u8;
                         self.output.push(b);
+                        next!()
                     }
-                    IInst::Halt => {
-                        exit = Some(FragExit::Halt);
-                    }
-                }
+                    Op::Halt => leave!(FragExit::Halt),
+                    Op::Fault(fault) => leave!(fault_exit(fault, fid, idx)),
+                };
 
+                // A taken transfer to `target`.
                 if S::TRACING {
                     sink.retire(&d);
                 }
-                if let Some(e) = exit {
+                if target != fid {
                     pass.finish(&mut self.stats, cache, fid, idx + 1);
-                    return e;
+                    fid = target;
+                    continue 'fragment;
                 }
-                match goto {
-                    None => idx += 1,
-                    Some(t) if t == fid => {
-                        // Self-transfer fast path: the target is the
-                        // fragment already resident in the loop's slices,
-                        // so restart at index 0 without re-borrowing it —
-                        // keeping the boundary checks and the entry
-                        // accounting the loop top would have performed.
-                        // The GPR file is architecturally complete here
-                        // (every fragment entry assumes it), so budget,
-                        // fuel, and region-hot exits stay resumable (their
-                        // empty last pass charges nothing).
-                        pass.charge(&mut self.stats, prefix, idx + 1);
-                        pass.start = loop_entry;
-                        if self.stats.v_insts >= budget_v {
-                            pass.finish(&mut self.stats, cache, fid, loop_entry);
-                            cpu.pc = vstart;
-                            return FragExit::Budget;
-                        }
-                        if let Some(limit) = fuel_limit {
-                            if self.stats.v_insts >= limit {
-                                pass.finish(&mut self.stats, cache, fid, loop_entry);
-                                return FragExit::Preempted { vtarget: vstart };
-                            }
-                        }
-                        pass.entries += 1;
-                        if is_region {
-                            self.stats.region_entries += 1;
-                        } else if self.config.region_trigger == Some(base_entries + pass.entries) {
-                            pass.finish(&mut self.stats, cache, fid, loop_entry);
-                            return FragExit::RegionHot { vtarget: vstart };
-                        }
-                        self.stats.fragment_entries += 1;
-                        // The leading `set-vpc-base` is a no-op on a
-                        // self-transfer — the base it would set is already
-                        // in force — so resume past it.
-                        idx = loop_entry;
-                    }
-                    Some(t) => {
-                        pass.finish(&mut self.stats, cache, fid, idx + 1);
-                        fid = t;
-                        continue 'fragment;
+                // Self-transfer fast path: the target is the fragment
+                // already resident in the loop's slices, so restart at index
+                // 0 without re-borrowing it — keeping the boundary checks
+                // and the entry accounting the loop top would have
+                // performed. The GPR file is architecturally complete here
+                // (every fragment entry assumes it), so budget, fuel, and
+                // region-hot exits stay resumable (their empty last pass
+                // charges nothing).
+                pass.charge(&mut self.stats, prefix, idx + 1);
+                pass.start = loop_entry;
+                if self.stats.v_insts >= budget_v {
+                    pass.finish(&mut self.stats, cache, fid, loop_entry);
+                    cpu.pc = vstart;
+                    return FragExit::Budget;
+                }
+                if let Some(limit) = fuel_limit {
+                    if self.stats.v_insts >= limit {
+                        pass.finish(&mut self.stats, cache, fid, loop_entry);
+                        return FragExit::Preempted { vtarget: vstart };
                     }
                 }
+                pass.entries += 1;
+                if is_region {
+                    self.stats.region_entries += 1;
+                } else if self.config.region_trigger == Some(base_entries + pass.entries) {
+                    pass.finish(&mut self.stats, cache, fid, loop_entry);
+                    return FragExit::RegionHot { vtarget: vstart };
+                }
+                self.stats.fragment_entries += 1;
+                // The leading `set-vpc-base` is a no-op on a self-transfer —
+                // the base it would set is already in force — so resume past
+                // it.
+                idx = loop_entry;
             }
         }
     }
@@ -887,6 +867,17 @@ impl Engine {
     }
 }
 
+/// The exit for a structural fault raised by the op at `idx`.
+fn fault_exit(fault: Fault, fid: FragmentId, idx: usize) -> FragExit {
+    let (fragment, index) = (fid.0, idx as u32);
+    FragExit::Fault {
+        error: match fault {
+            Fault::UnlinkedTransfer => VmError::UnlinkedTransfer { fragment, index },
+            Fault::UnresolvedDualRas => VmError::UnresolvedDualRas { fragment, index },
+        },
+    }
+}
+
 fn check_align(addr: u64, width: MemWidth, policy: AlignPolicy) -> Result<(), Trap> {
     let bytes = width.bytes();
     if policy == AlignPolicy::Enforce && bytes > 1 && !addr.is_multiple_of(bytes as u64) {
@@ -902,8 +893,8 @@ fn check_align(addr: u64, width: MemWidth, policy: AlignPolicy) -> Result<(), Tr
 mod tests {
     use super::*;
     use crate::fragment::IMeta;
-    use alpha_isa::{IdMap, OperateOp};
-    use ildp_isa::{CondKind, IsaForm};
+    use alpha_isa::{IdMap, JumpKind, OperateOp};
+    use ildp_isa::{ASrc, CondKind, IsaForm};
 
     /// A sink that records every retired instruction.
     #[derive(Default)]
@@ -1417,5 +1408,277 @@ mod tests {
                 error: VmError::FragmentOverrun { fragment: f.0 }
             }
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "dual-RAS depth must be positive")]
+    fn zero_ras_depth_rejected() {
+        Engine::new(EngineConfig {
+            ras_depth: 0,
+            ..EngineConfig::default()
+        });
+    }
+
+    /// Every slot that can name a GPR names `R31` once: reads see zero,
+    /// writes are dropped (the raw register file's `R31` slot stays zero,
+    /// which `CpuState`'s equality sees), and the op array carries the
+    /// folded forms.
+    #[test]
+    fn r31_folds_to_zero_reads_and_dropped_writes() {
+        let zero = Reg::ZERO;
+        let a = Acc::new;
+        let insts = vec![
+            IInst::SetVpcBase { vaddr: 0x1000 },
+            // acc0 <- r31 + 5, written to r31.
+            IInst::Op {
+                op: OperateOp::Addq,
+                acc: a(0),
+                lhs: ASrc::Gpr(zero),
+                rhs: ASrc::Imm(5),
+                dst: Some(zero),
+            },
+            IInst::CopyToGpr {
+                acc: a(0),
+                dst: zero,
+            },
+            // r3 <- 9 - r31.
+            IInst::Op {
+                op: OperateOp::Subq,
+                acc: a(1),
+                lhs: ASrc::Imm(9),
+                rhs: ASrc::Gpr(zero),
+                dst: Some(Reg::new(3)),
+            },
+            // acc2 <- r31, copied out to r4.
+            IInst::CopyFromGpr {
+                acc: a(2),
+                src: zero,
+            },
+            IInst::CopyToGpr {
+                acc: a(2),
+                dst: Reg::new(4),
+            },
+            // acc2's low bit is clear, so r5 <- old value of r31.
+            IInst::CmovSelect {
+                acc: a(2),
+                lbs: true,
+                value: ASrc::Imm(7),
+                old: zero,
+                dst: Some(Reg::new(5)),
+            },
+            IInst::SaveVReturn {
+                dst: zero,
+                vaddr: 0x4444,
+            },
+            // mem[r31 + 0x100] <- 0x77, loaded back into r31 and acc3.
+            IInst::Store {
+                acc: a(3),
+                width: MemWidth::U64,
+                addr: ASrc::Gpr(zero),
+                disp: 0x100,
+                value: ASrc::Imm(0x77),
+            },
+            IInst::Load {
+                acc: a(3),
+                width: MemWidth::U64,
+                addr: ASrc::Imm(0x100),
+                disp: 0,
+                dst: Some(zero),
+            },
+            IInst::CopyToGpr {
+                acc: a(3),
+                dst: Reg::new(6),
+            },
+            IInst::Halt,
+        ];
+        let mut cache = TranslationCache::new();
+        let f = install_rich(&mut cache, 0x1000, insts);
+        let ops = &cache.fragment(f).ops;
+        assert_eq!(
+            ops[1],
+            Op::Addq(Alu {
+                acc: a(0),
+                lhs: Src::Imm(0),
+                rhs: Src::Imm(5),
+                dst: None
+            })
+        );
+        assert_eq!(ops[2], Op::Nop);
+        assert_eq!(
+            ops[4],
+            Op::SetAcc {
+                acc: a(2),
+                value: 0
+            }
+        );
+        assert_eq!(ops[7], Op::Nop);
+        assert!(matches!(
+            ops[6],
+            Op::CmovSelect {
+                old: Src::Imm(0),
+                ..
+            }
+        ));
+        assert!(matches!(
+            ops[8],
+            Op::Store {
+                addr: Src::Imm(0),
+                ..
+            }
+        ));
+        assert!(matches!(ops[9], Op::Load { dst: None, .. }));
+
+        let mut run = Run::new(EngineConfig::default());
+        for r in [3, 4, 5, 6] {
+            run.cpu.write(Reg::new(r), 0xdead);
+        }
+        assert_eq!(run.go(&mut cache, f, u64::MAX), FragExit::Halt);
+        let regs = run.cpu.registers();
+        assert_eq!(&regs[3..=6], &[9, 0, 0, 0x77]);
+        assert_eq!(run.mem.read_u64(0x100), 0x77);
+        assert_eq!(run.engine.accs[0], 5);
+        assert_eq!(run.cpu, CpuState::with_registers(run.cpu.pc, &regs));
+    }
+
+    /// A at 0x1000 sets r1 = r2 + 5 and acc0 = 1, then exits towards B
+    /// at 0x2000 twice: conditionally on `cond` (slot 3), then always
+    /// (slot 4). B halts. Both exits are linked to B on install.
+    fn linked_pair(cond: CondKind) -> (TranslationCache, FragmentId) {
+        let mut cache = TranslationCache::new();
+        install_simple(
+            &mut cache,
+            0x2000,
+            vec![IInst::SetVpcBase { vaddr: 0x2000 }, IInst::Halt],
+        );
+        let a = install_simple(
+            &mut cache,
+            0x1000,
+            vec![
+                IInst::SetVpcBase { vaddr: 0x1000 },
+                op(1, ASrc::Gpr(Reg::new(2)), 5, Some(1)),
+                op(0, ASrc::Imm(1), 0, None),
+                IInst::CallTranslatorIfCond {
+                    cond,
+                    acc: Acc::new(0),
+                    src: ASrc::Acc,
+                    vtarget: 0x2000,
+                },
+                IInst::CallTranslator { vtarget: 0x2000 },
+            ],
+        );
+        let f = cache.fragment(a);
+        assert!(matches!(f.insts[3], IInst::CondBranch { .. }));
+        assert!(matches!(f.insts[4], IInst::Branch { .. }));
+        (cache, a)
+    }
+
+    fn run_null(cache: &mut TranslationCache, entry: FragmentId) -> (FragExit, CpuState) {
+        let mut engine = Engine::new(EngineConfig::default());
+        let mut cpu = CpuState::new(0);
+        let exit = engine.run(
+            cache,
+            entry,
+            &mut cpu,
+            &mut Memory::new(),
+            u64::MAX,
+            &mut NullSink,
+        );
+        (exit, cpu)
+    }
+
+    fn unlinked(a: FragmentId, index: u32) -> FragExit {
+        FragExit::Fault {
+            error: VmError::UnlinkedTransfer {
+                fragment: a.0,
+                index,
+            },
+        }
+    }
+
+    #[test]
+    fn edited_away_link_faults_when_taken() {
+        // The taken conditional branch, then the unconditional one (the
+        // conditional, not taken, falls through to it).
+        for (cond, slot) in [(CondKind::Ne, 3), (CondKind::Eq, 4)] {
+            let (mut cache, a) = linked_pair(cond);
+            assert_eq!(run_null(&mut cache, a).0, FragExit::Halt);
+            cache.edit_fragment(a, |_, links| links[slot] = None);
+            assert_eq!(run_null(&mut cache, a).0, unlinked(a, slot as u32));
+        }
+        // An unlinked conditional branch that is not taken is harmless.
+        let (mut cache, a) = linked_pair(CondKind::Eq);
+        cache.edit_fragment(a, |_, links| links[3] = None);
+        assert_eq!(run_null(&mut cache, a).0, FragExit::Halt);
+    }
+
+    #[test]
+    fn edited_poisoned_link_faults_dead_fragment() {
+        let (mut cache, a) = linked_pair(CondKind::Ne);
+        let bogus = FragmentId(u32::MAX - 1);
+        cache.edit_fragment(a, |_, links| links[3] = Some(bogus));
+        let exit = run_null(&mut cache, a).0;
+        assert_eq!(
+            exit,
+            FragExit::Fault {
+                error: VmError::DeadFragment { fragment: bogus.0 }
+            }
+        );
+    }
+
+    #[test]
+    fn edited_unresolved_push_faults() {
+        let mut cache = TranslationCache::new();
+        install_simple(
+            &mut cache,
+            0x2000,
+            vec![IInst::SetVpcBase { vaddr: 0x2000 }, IInst::Halt],
+        );
+        let a = install_simple(
+            &mut cache,
+            0x1000,
+            vec![
+                IInst::SetVpcBase { vaddr: 0x1000 },
+                IInst::PushDualRas {
+                    vret: 0x2000,
+                    iret: ITarget::Addr(DISPATCH_IADDR),
+                },
+                IInst::Halt,
+            ],
+        );
+        assert_eq!(run_null(&mut cache, a).0, FragExit::Halt);
+        cache.edit_fragment(a, |insts, _| {
+            insts[1] = IInst::PushDualRas {
+                vret: 0x2000,
+                iret: ITarget::Local(0),
+            };
+        });
+        let exit = run_null(&mut cache, a).0;
+        assert_eq!(
+            exit,
+            FragExit::Fault {
+                error: VmError::UnresolvedDualRas {
+                    fragment: a.0,
+                    index: 1
+                }
+            }
+        );
+    }
+
+    #[test]
+    fn edited_immediate_changes_the_retired_result() {
+        let (mut cache, a) = linked_pair(CondKind::Ne);
+        let (exit, cpu) = run_null(&mut cache, a);
+        assert_eq!((exit, cpu.read(Reg::new(1))), (FragExit::Halt, 5));
+        cache.edit_fragment(a, |insts, _| {
+            if let IInst::Op {
+                rhs: ASrc::Imm(imm),
+                ..
+            } = &mut insts[1]
+            {
+                *imm ^= 3;
+            }
+        });
+        let (exit, cpu) = run_null(&mut cache, a);
+        assert_eq!((exit, cpu.read(Reg::new(1))), (FragExit::Halt, 6));
     }
 }

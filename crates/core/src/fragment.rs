@@ -9,6 +9,7 @@
 //! direct branch (paper §3.2).
 
 use crate::classify::UsageCat;
+use crate::lower::{self, Op};
 use alpha_isa::{IdMap, Reg};
 use ildp_isa::{Acc, IInst, ITarget, IsaForm};
 use ildp_uarch::{DynInst, InstClass};
@@ -146,10 +147,15 @@ pub struct Fragment {
     pub templates: Vec<DynInst>,
     /// Per-instruction direct links: for a control transfer whose target
     /// I-address is resolved, the fragment whose entry point it is. Kept in
-    /// lockstep with patching so the engine follows links without hashing
-    /// through the I-address lookup map. Invalidated wholesale by
+    /// lockstep with patching and lowered into [`Fragment::ops`], so the
+    /// engine follows links without hashing through the I-address lookup
+    /// map. Invalidated wholesale by
     /// [`TranslationCache::flush`] (the fragments are dropped).
     pub links: Vec<Option<FragmentId>>,
+    /// The executable form the engine runs: `insts` and `links` lowered
+    /// 1:1 ([`lower::lower`]). Derived state, recomputed whenever either
+    /// changes, so it never needs checking on its own.
+    pub(crate) ops: Vec<Op>,
     /// Times this fragment has been entered (for statistics).
     pub entries: u64,
     /// Clock-eviction referenced bit: set by the engine on entry, cleared
@@ -320,22 +326,49 @@ impl TranslationCache {
     }
 
     /// Mutable access to a fragment (the VM engine updates entry counts).
+    /// Crate-private: code and links change only through the cache's own
+    /// patching and [`edit_fragment`], which keep [`Fragment::ops`] in
+    /// step with them.
     ///
     /// # Panics
     ///
     /// Panics if the fragment has been invalidated; use
     /// [`try_fragment_mut`] when the id may be stale.
     ///
+    /// [`edit_fragment`]: TranslationCache::edit_fragment
     /// [`try_fragment_mut`]: TranslationCache::try_fragment_mut
-    pub fn fragment_mut(&mut self, id: FragmentId) -> &mut Fragment {
+    pub(crate) fn fragment_mut(&mut self, id: FragmentId) -> &mut Fragment {
         self.slots[id.0 as usize]
             .as_mut()
             .expect("fragment was invalidated")
     }
 
     /// Mutable access to a fragment, `None` if it was invalidated.
-    pub fn try_fragment_mut(&mut self, id: FragmentId) -> Option<&mut Fragment> {
+    pub(crate) fn try_fragment_mut(&mut self, id: FragmentId) -> Option<&mut Fragment> {
         self.slots.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// Rewrites a fragment's code and direct links in place, bypassing
+    /// patching: the entry point for fault injection and seeded
+    /// miscompiles. `edit` gets the instructions and the parallel link
+    /// table; afterwards the fragment's executable form is re-derived
+    /// from both, so the engine runs exactly what they now say. Nothing
+    /// else is repaired — trace templates, the reverse link map and the
+    /// recorded exit targets keep their pre-edit values, which is what
+    /// lets the C01–C07 audit and the flow rules see the corruption.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fragment has been invalidated.
+    pub fn edit_fragment<R>(
+        &mut self,
+        id: FragmentId,
+        edit: impl FnOnce(&mut [IInst], &mut [Option<FragmentId>]) -> R,
+    ) -> R {
+        let f = self.fragment_mut(id);
+        let out = edit(&mut f.insts, &mut f.links);
+        f.ops = lower::lower_all(&f.insts, &f.links);
+        out
     }
 
     /// Total patches applied so far (chaining statistic).
@@ -466,6 +499,7 @@ impl TranslationCache {
             })
             .collect();
         let links = vec![None; insts.len()];
+        let ops = lower::lower_all(&insts, &links);
         let retire_prefix = retire_prefix(vstart, &insts, &meta);
         // Exit V-targets must be captured before `resolve_new_fragment`
         // patches any of this fragment's own exits into direct branches.
@@ -495,6 +529,7 @@ impl TranslationCache {
             recovery,
             templates,
             links,
+            ops,
             entries: 0,
             referenced: true,
             is_region: false,
@@ -612,9 +647,10 @@ impl TranslationCache {
         self.refresh_site(fid, idx);
     }
 
-    /// Recomputes the trace template and direct link of one instruction
-    /// from its (just rewritten) form, keeping both in lockstep with
-    /// patching, and records the link in the reverse incoming-link map.
+    /// Recomputes the trace template, direct link and lowered op of one
+    /// instruction from its (just rewritten) form, keeping all three in
+    /// lockstep with patching, and records the link in the reverse
+    /// incoming-link map.
     fn refresh_site(&mut self, fid: FragmentId, idx: u32) {
         let Some(f) = self.try_fragment(fid) else {
             return;
@@ -636,6 +672,7 @@ impl TranslationCache {
         let f = self.fragment_mut(fid);
         f.templates[k] = template;
         f.links[k] = link;
+        f.ops[k] = lower::lower(&inst, link);
     }
 
     /// Precisely invalidates one fragment: empties its slot, removes it
@@ -890,6 +927,13 @@ mod tests {
     use super::*;
     use ildp_isa::{ASrc, CondKind};
 
+    /// Every live fragment's ops are exactly its code and links lowered.
+    fn assert_ops_lowered(cache: &TranslationCache) {
+        for f in cache.fragments() {
+            assert_eq!(f.ops, lower::lower_all(&f.insts, &f.links), "{:?}", f.id);
+        }
+    }
+
     fn mk_insts(exit_vtarget: u64) -> (Vec<IInst>, Vec<IMeta>) {
         let insts = vec![
             IInst::SetVpcBase { vaddr: 0x1000 },
@@ -939,6 +983,8 @@ mod tests {
             IInst::Branch { target: ITarget::Addr(addr) } if addr == b_start
         ));
         assert_eq!(cache.patches_applied(), 1);
+        assert_eq!(cache.fragment(a).ops[1], Op::Branch { link: b });
+        assert_ops_lowered(&cache);
     }
 
     #[test]
@@ -996,6 +1042,7 @@ mod tests {
             cache.fragment(a).insts[0],
             IInst::PushDualRas { iret: ITarget::Addr(addr), .. } if addr == b_start
         ));
+        assert_ops_lowered(&cache);
     }
 
     #[test]
@@ -1069,6 +1116,7 @@ mod tests {
             IInst::CallTranslator { vtarget: 0x2000 }
         ));
         assert_eq!(cache.fragment(a).links[1], None);
+        assert_eq!(cache.fragment(a).ops[1], Op::Exit { vtarget: 0x2000 });
         assert_eq!(cache.lookup(0x2000), None);
         assert!(cache.try_fragment(b).is_none());
         assert_eq!(cache.unpatches(), 1);
@@ -1082,6 +1130,7 @@ mod tests {
             cache.fragment(a).insts[1],
             IInst::Branch { target: ITarget::Addr(addr) } if addr == b2_start
         ));
+        assert_ops_lowered(&cache);
     }
 
     #[test]

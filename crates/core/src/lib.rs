@@ -35,6 +35,7 @@ mod cost;
 mod engine;
 mod error;
 mod fragment;
+mod lower;
 mod profile;
 mod replay;
 mod snapshot;

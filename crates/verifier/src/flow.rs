@@ -1047,7 +1047,7 @@ fn record_mismatch(d: &DynInst, inst: &IInst, is_chain: bool) -> Option<String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ildp_core::IMeta;
+    use ildp_core::{Engine, EngineConfig, FragExit, IMeta, NullSink};
     use ildp_isa::{ASrc, IsaForm, MemWidth};
 
     fn r(n: u8) -> Reg {
@@ -1224,11 +1224,12 @@ mod tests {
         // link table is refreshed to match. Only F04 sees the V-side
         // disagreement with the recorded exit target.
         let c_start = cache.fragment(cid).istart;
-        let fa = cache.fragment_mut(aid);
-        fa.insts[1] = IInst::Branch {
-            target: ITarget::Addr(c_start),
-        };
-        fa.links[1] = Some(cid);
+        cache.edit_fragment(aid, |insts, links| {
+            insts[1] = IInst::Branch {
+                target: ITarget::Addr(c_start),
+            };
+            links[1] = Some(cid);
+        });
         let (violations, _) = check_cache(&cache, None);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "F04");
@@ -1256,9 +1257,11 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
         // Poison the resolved push to another legitimate entry.
         let c_start = cache.fragment(cid).istart;
-        if let IInst::PushDualRas { iret, .. } = &mut cache.fragment_mut(aid).insts[0] {
-            *iret = ITarget::Addr(c_start);
-        }
+        cache.edit_fragment(aid, |insts, _| {
+            if let IInst::PushDualRas { iret, .. } = &mut insts[0] {
+                *iret = ITarget::Addr(c_start);
+            }
+        });
         let (violations, _) = check_cache(&cache, Some(ChainPolicy::SwPredDualRas));
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, "F05");
@@ -1293,16 +1296,19 @@ mod tests {
         assert!(check_dynamic(&cache, &trace).is_empty());
         // (a) Tamper the installed load's source register: the recorded
         // trace no longer matches the cache contents.
-        if let IInst::Load { addr, .. } = &mut cache.fragment_mut(fid).insts[1] {
-            *addr = ASrc::Gpr(r(7));
-        }
+        let set_load_addr = |cache: &mut TranslationCache, reg| {
+            cache.edit_fragment(fid, |insts, _| {
+                if let IInst::Load { addr, .. } = &mut insts[1] {
+                    *addr = ASrc::Gpr(r(reg));
+                }
+            })
+        };
+        set_load_addr(&mut cache, 7);
         let vs = check_dynamic(&cache, &trace);
         assert!(vs.iter().any(|v| v.rule == "F06"), "{vs:?}");
         // (b) A trace whose copy-out retires without the accumulator
         // having been written since entry (skipping the load).
-        if let IInst::Load { addr, .. } = &mut cache.fragment_mut(fid).insts[1] {
-            *addr = ASrc::Gpr(r(2));
-        }
+        set_load_addr(&mut cache, 2);
         let seam_read = vec![trace[0], trace[2]];
         let vs = check_dynamic(&cache, &seam_read);
         assert!(
@@ -1327,8 +1333,16 @@ mod tests {
         let b = mk(0x2000, 0x1000);
         let bm = meta_for(&b, 0x2000);
         let bid = cache.install(0x2000, IsaForm::Modified, b, bm, 1, IdMap::default());
-        cache.fragment_mut(aid).entries = 10;
-        cache.fragment_mut(bid).entries = 5;
+        // Run the A <-> B loop up to A's tenth entry, so A is the hotter.
+        let mut engine = Engine::new(EngineConfig {
+            region_trigger: Some(10),
+            ..EngineConfig::default()
+        });
+        let (mut cpu, mut mem) = (alpha_isa::CpuState::new(0), alpha_isa::Memory::new());
+        let exit = engine.run(&mut cache, aid, &mut cpu, &mut mem, u64::MAX, &mut NullSink);
+        assert_eq!(exit, FragExit::RegionHot { vtarget: 0x1000 });
+        let entries = |id| cache.fragment(id).entries;
+        assert_eq!((entries(aid), entries(bid)), (10, 9));
         let regions = select_regions(&cache, 8);
         assert_eq!(regions.len(), 1, "{regions:?}");
         assert_eq!(regions[0].head, 0x1000);
