@@ -1,4 +1,5 @@
-//! One deterministic hasher for the VM's id-keyed maps.
+//! Deterministic hashing: one hasher for the VM's id-keyed maps, and one
+//! checksum for every sealed file and content digest.
 //!
 //! Every map the VM probes on a hot path is keyed by an id the VM made
 //! itself: a guest PC, a page number, a fragment id, a value id, an `Rc`
@@ -17,6 +18,10 @@
 //! insertion history. Nothing depends on it: every caller that writes
 //! a map's contents out (snapshot capture, the store's container) sorts
 //! first.
+//!
+//! [`checksum`] is the other half: the integrity check every persisted
+//! artifact's seal carries, and the content digest behind store keys,
+//! program identity and memory comparison.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -66,6 +71,67 @@ impl Hasher for IdHasher {
     }
 }
 
+/// Seeds of the four [`checksum`] lanes (distinct, so two lanes fed the
+/// same words still end in different states).
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// One checksum step: `rotl((lane ^ w) * K, 31)`. For a fixed `w` it is a
+/// bijection of `lane`, and for a fixed `lane` a bijection of `w`.
+#[inline(always)]
+fn absorb(lane: u64, w: u64) -> u64 {
+    (lane ^ w).wrapping_mul(K).rotate_left(31)
+}
+
+/// Word-parallel 64-bit checksum of `bytes`.
+///
+/// Four independent lanes absorb the input 32 bytes (four little-endian
+/// words) at a time, so the multiplies of one block overlap instead of
+/// each waiting on the last, as a byte-serial hash's do. The lanes are
+/// then folded into one state, followed by the trailing whole words, the
+/// zero-padded last partial word and the length.
+///
+/// Every step is a bijection of the state it updates, so two inputs of
+/// the same length that differ inside one 8-byte word always checksum
+/// differently: every single-bit flip is caught. It is an integrity
+/// check against accident, not a keyed MAC.
+///
+/// The value is part of every sealed wire format; changing this function
+/// changes every checksum on disk, so it must come with a bump of every
+/// format version that seals with it.
+///
+/// # Examples
+///
+/// ```
+/// use alpha_isa::hash::checksum;
+/// assert_ne!(checksum(b"seal"), checksum(b"seam"));
+/// assert_ne!(checksum(b""), checksum(&[0]));
+/// ```
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = LANE_SEEDS;
+    for block in blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = absorb(*lane, u64::from_le_bytes(*w));
+        }
+    }
+    let mut h = lanes.into_iter().fold(0, absorb);
+    let (words, rest) = tail.as_chunks::<8>();
+    for w in words {
+        h = absorb(h, u64::from_le_bytes(*w));
+    }
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = absorb(h, u64::from_le_bytes(last));
+    }
+    absorb(h, bytes.len() as u64)
+}
+
 /// A `HashMap` hashed by [`IdHasher`]; build with `IdMap::default()`.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
@@ -107,6 +173,67 @@ mod tests {
             assert!(low >= 600, "{shape}: low 10 bits hit only {low} values");
             assert!(top >= 100, "{shape}: top 7 bits hit only {top} of 128");
         }
+    }
+
+    /// A deterministic, non-repeating test buffer.
+    fn buffer(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        // 0..=80 covers empty input, tail only, exactly one 32-byte block,
+        // and blocks followed by whole and partial tail words.
+        for len in 0..=80 {
+            let original = buffer(len);
+            let base = checksum(&original);
+            let mut flipped = original.clone();
+            for byte in 0..len {
+                for bit in 0..8 {
+                    flipped[byte] ^= 1 << bit;
+                    assert_ne!(checksum(&flipped), base, "len {len} byte {byte} bit {bit}");
+                    flipped[byte] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_catches_swapped_words() {
+        let original = buffer(80);
+        let base = checksum(&original);
+        for a in 0..10 {
+            for b in a + 1..10 {
+                let mut swapped = original.clone();
+                for k in 0..8 {
+                    swapped.swap(a * 8 + k, b * 8 + k);
+                }
+                assert_ne!(swapped, original);
+                assert_ne!(checksum(&swapped), base, "words {a} and {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_covers_the_length() {
+        for len in 0..=80 {
+            let mut longer = buffer(len);
+            let base = checksum(&longer);
+            longer.push(0);
+            assert_ne!(checksum(&longer), base, "len {len}");
+        }
+    }
+
+    /// Every sealed wire format stores this function's output. If this
+    /// test fails, the checksum changed: bump `ARTIFACT_VERSION`,
+    /// `STORE_VERSION`, `SNAPSHOT_VERSION`, `REPLAY_VERSION` and
+    /// `REPRO_VERSION` so existing files are refused as version skew
+    /// instead of failing their seals, then update the vector.
+    #[test]
+    fn checksum_matches_pinned_vector() {
+        assert_eq!(checksum(&buffer(77)), 0xb8d6_9614_fb83_3bd4);
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod decode;
 mod disasm;
 mod encode;
 mod exec;
-mod hash;
+pub mod hash;
 mod inst;
 mod interp;
 mod mem;

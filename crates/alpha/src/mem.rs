@@ -4,8 +4,9 @@
 //! code, stack and heap across the address space without cost. Loads from
 //! untouched memory read zero, matching a zero-filled process image.
 
-use crate::hash::IdMap;
+use crate::hash::{checksum, IdHasher, IdMap};
 use std::cell::Cell;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -73,14 +74,11 @@ impl Memory {
             if page.iter().all(|&b| b == 0) {
                 continue;
             }
-            // FNV-1a over the page bytes, folded with the page number;
+            // The page checksum hashed together with the page number (so
+            // swapping two pages' contents changes the digest), then
             // XOR-combined across pages for order independence.
-            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ page_no.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for &b in page.iter() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            digest ^= h;
+            digest ^=
+                BuildHasherDefault::<IdHasher>::default().hash_one((page_no, checksum(&page[..])));
         }
         digest
     }

@@ -1,5 +1,6 @@
 //! Microbenchmarks of the simulation substrate: predictors, caches, the
-//! Alpha interpreter step, and the timing models' retire paths.
+//! Alpha interpreter step, the timing models' retire paths, and the
+//! checksum every sealed file and content digest runs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ildp_uarch::{
@@ -127,11 +128,26 @@ fn bench_timing_models(c: &mut Criterion) {
     group.finish();
 }
 
+/// The seal and digest checksum over a 3 MB buffer, about the size of the
+/// `warm` workload's pretranslated store.
+fn bench_checksum(c: &mut Criterion) {
+    let buf: Vec<u8> = (0..3u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+        .collect();
+    let mut group = c.benchmark_group("checksum");
+    group.throughput(Throughput::Bytes(buf.len() as u64));
+    group.bench_function("checksum_3mb", |b| {
+        b.iter(|| alpha_isa::hash::checksum(std::hint::black_box(&buf)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_predictors,
     bench_caches,
     bench_interpreter,
-    bench_timing_models
+    bench_timing_models,
+    bench_checksum
 );
 criterion_main!(benches);

@@ -46,8 +46,10 @@ use std::fmt;
 /// Magic number of the `.repro` bundle wire format (`"ILPB"`).
 pub const REPRO_MAGIC: u32 = 0x4250_4C49;
 
-/// Current `.repro` bundle format version.
-pub const REPRO_VERSION: u32 = 1;
+/// Current `.repro` bundle format version. Version 2 seals with
+/// `alpha_isa::hash::checksum` and nests version-6 snapshots and replay
+/// logs; older bundles are refused with [`SnapshotError::BadVersion`].
+pub const REPRO_VERSION: u32 = 2;
 
 /// An instruction-accurate reference interpreter that can start either
 /// from program entry or from a verified-good checkpoint, and advance to
@@ -721,10 +723,7 @@ impl ReproBundle {
 
     /// Deserializes an artifact written by [`to_bytes`](ReproBundle::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<ReproBundle, SnapshotError> {
-        let (version, payload) = wire::open(REPRO_MAGIC, bytes)?;
-        if version != REPRO_VERSION {
-            return Err(SnapshotError::BadVersion { version });
-        }
+        let payload = wire::open(REPRO_MAGIC, REPRO_VERSION, bytes)?;
         let mut c = Cursor::new(payload);
         let form = if c.take_u8()? != 0 {
             IsaForm::Modified
@@ -749,6 +748,7 @@ impl ReproBundle {
         let snapshot = Snapshot::from_bytes(c.take_bytes()?)?;
         let log = ReplayLog::from_bytes(c.take_bytes()?)?;
         let expected = take_divergence(&mut c)?;
+        c.finish()?;
         Ok(ReproBundle {
             form,
             chain,
@@ -812,4 +812,69 @@ fn take_divergence(c: &mut Cursor<'_>) -> Result<Divergence, SnapshotError> {
         output_diverged: c.take_u8()? != 0,
         abnormal_exit: c.take_u8()? != 0,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> ReproBundle {
+        ReproBundle {
+            form: IsaForm::Modified,
+            chain: ChainPolicy::SwPredDualRas,
+            workload: "gzip".into(),
+            code_base: 0x1_0000,
+            entry_pc: 0x1_0000,
+            initial_sp: 0x8_0000,
+            code: vec![0x47ff_041f, 0x0000_0000],
+            snapshot: Snapshot {
+                program_digest: 0xC0DE,
+                v_insts: 40,
+                pc: 0x1_0004,
+                regs: [0; 32],
+                pages: vec![(0x10, vec![7; 16])],
+                output: Vec::new(),
+                candidates: Vec::new(),
+                translated: Vec::new(),
+                demotion: Vec::new(),
+                smc_counts: Vec::new(),
+                stats: Default::default(),
+            },
+            log: ReplayLog {
+                seed: 3,
+                sabotage: Vec::new(),
+                events: vec![ReplayEvent::Run { budget: 100 }],
+            },
+            expected: Divergence {
+                v_insts: 60,
+                entry_vstart: 0x1_0000,
+                entry_translated: true,
+                pc_expected: 0x1_0004,
+                pc_actual: 0x1_0004,
+                pc_compared: true,
+                regs: vec![RegDiff {
+                    index: 1,
+                    expected: 2,
+                    actual: 3,
+                }],
+                mem_expected: 5,
+                mem_actual: 5,
+                output_diverged: false,
+                abnormal_exit: false,
+            },
+        }
+    }
+
+    #[test]
+    fn bundle_trailing_bytes_are_refused() {
+        let bytes = sample().to_bytes();
+        let payload = wire::open(REPRO_MAGIC, REPRO_VERSION, &bytes).unwrap();
+        let mut longer = payload.to_vec();
+        longer.push(0);
+        let resealed = wire::seal(REPRO_MAGIC, REPRO_VERSION, &longer);
+        assert_eq!(
+            ReproBundle::from_bytes(&resealed),
+            Err(SnapshotError::TrailingBytes { extra: 1 })
+        );
+    }
 }

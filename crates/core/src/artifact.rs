@@ -26,7 +26,7 @@
 //! installed and never a crash, no matter what happened to the file:
 //!
 //! * **Per-artifact seals.** Every entry is independently enveloped
-//!   (magic, version, FNV-1a trailer) *and embeds its own
+//!   (magic, version, checksum trailer) *and embeds its own
 //!   [`ArtifactKey`]*, binding payload to index slot. A flipped bit
 //!   costs one artifact (quarantined at first lookup); a key↔payload
 //!   swap — even one that re-seals the container — fails the embedded
@@ -60,6 +60,7 @@ use crate::fragment::{IMeta, RecoveryEntry};
 use crate::superblock::{CollectedFlow, SbEnd, Superblock};
 use crate::translate::{ChainPolicy, TranslatedCode, Translator};
 use crate::wire::{self, Cursor};
+use alpha_isa::hash::checksum;
 use alpha_isa::{IdMap, IdSet, JumpKind, OperateOp, Program, Reg};
 use ildp_isa::{ASrc, Acc, CondKind, IInst, ITarget, IsaForm, MemWidth};
 use std::fs::{self, File};
@@ -71,18 +72,20 @@ use std::sync::{Arc, Mutex};
 /// Magic number of a serialized fragment artifact (`"ILPF"`).
 pub const ARTIFACT_MAGIC: u32 = 0x4650_4C49;
 
-/// Current fragment-artifact format version. Version 2 embeds the
-/// [`ArtifactKey`] in the sealed payload, binding each entry to its
-/// index slot (a version-1 artifact is rejected as version skew).
-pub const ARTIFACT_VERSION: u32 = 2;
+/// Current fragment-artifact format version. Version 3 seals with
+/// `alpha_isa::hash::checksum` and keys by its digests; the payload is
+/// version 2's, which embeds the [`ArtifactKey`] in the sealed payload,
+/// binding each entry to its index slot. Older artifacts are rejected as
+/// version skew.
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// Magic number of a serialized fragment store (`"ILPW"`).
 pub const STORE_MAGIC: u32 = 0x5750_4C49;
 
-/// Current fragment-store format version. Version 2 entries carry
-/// embedded keys (see [`ARTIFACT_VERSION`]); an unknown version opens as
-/// a clean empty store rather than an error.
-pub const STORE_VERSION: u32 = 2;
+/// Current fragment-store format version. Version 3 containers hold
+/// version-3 artifacts (see [`ARTIFACT_VERSION`]) under a checksum seal;
+/// an unknown version opens as a clean empty store rather than an error.
+pub const STORE_VERSION: u32 = 3;
 
 /// Identity of a reusable translation: what was translated (the guest
 /// bytes and dynamic path of the collected superblock) and how (the
@@ -91,11 +94,11 @@ pub const STORE_VERSION: u32 = 2;
 /// other.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArtifactKey {
-    /// FNV-1a digest of the collected superblock: entry address, each
+    /// Checksum digest of the collected superblock: entry address, each
     /// instruction's V-address and raw code word, its collected control
     /// flow, and the ending condition.
     pub code_digest: u64,
-    /// FNV-1a digest of the [`Translator`] configuration (ISA form,
+    /// Checksum digest of the [`Translator`] configuration (ISA form,
     /// chaining policy, accumulator count, memory fusion).
     pub config_digest: u64,
 }
@@ -163,7 +166,7 @@ pub fn superblock_digest(program: &Program, sb: &Superblock) -> u64 {
         }
         SbEnd::Halt => wire::put_u8(&mut buf, 4),
     }
-    wire::fnv1a(&buf)
+    checksum(&buf)
 }
 
 /// Digest of a translator configuration.
@@ -182,7 +185,7 @@ pub fn translator_digest(t: &Translator) -> u64 {
         t.acc_count as u8,
         t.fuse_memory as u8,
     ];
-    wire::fnv1a(&buf)
+    checksum(&buf)
 }
 
 /// The store key for translating `sb` under `translator` within
@@ -304,10 +307,7 @@ impl FragmentArtifact {
     /// entry was filed under must compare it against the embedded one
     /// (see [`SnapshotError::KeyMismatch`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<(ArtifactKey, FragmentArtifact), SnapshotError> {
-        let (version, payload) = wire::open(ARTIFACT_MAGIC, bytes)?;
-        if version != ARTIFACT_VERSION {
-            return Err(SnapshotError::BadVersion { version });
-        }
+        let payload = wire::open(ARTIFACT_MAGIC, ARTIFACT_VERSION, bytes)?;
         let mut c = Cursor::new(payload);
         let embedded = ArtifactKey {
             code_digest: c.take_u64()?,
@@ -366,6 +366,7 @@ impl FragmentArtifact {
         for v in oracle_categories.0.iter_mut() {
             *v = c.take_u64()?;
         }
+        c.finish()?;
         Ok((
             embedded,
             FragmentArtifact {
@@ -1078,10 +1079,7 @@ impl FragmentStore {
     /// The resilient counterpart is
     /// [`open_bytes`](FragmentStore::open_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<FragmentStore, SnapshotError> {
-        let (version, payload) = wire::open(STORE_MAGIC, bytes)?;
-        if version != STORE_VERSION {
-            return Err(SnapshotError::BadVersion { version });
-        }
+        let payload = wire::open(STORE_MAGIC, STORE_VERSION, bytes)?;
         let mut c = Cursor::new(payload);
         let n = c.take_u32()? as usize;
         let store = FragmentStore::new();
@@ -1103,6 +1101,7 @@ impl FragmentStore {
                 content.entries.insert(key, Arc::new(bytes));
             }
         }
+        c.finish()?;
         Ok(store)
     }
 
@@ -1451,6 +1450,34 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 1;
         assert!(FragmentArtifact::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn artifact_trailing_bytes_are_refused() {
+        let bytes = sample_artifact().to_bytes(sample_key());
+        let payload = wire::open(ARTIFACT_MAGIC, ARTIFACT_VERSION, &bytes).unwrap();
+        let mut longer = payload.to_vec();
+        longer.push(0);
+        let resealed = wire::seal(ARTIFACT_MAGIC, ARTIFACT_VERSION, &longer);
+        assert_eq!(
+            FragmentArtifact::from_bytes(&resealed),
+            Err(SnapshotError::TrailingBytes { extra: 1 })
+        );
+    }
+
+    #[test]
+    fn store_trailing_bytes_are_refused() {
+        let store = FragmentStore::new();
+        store.put(sample_key(), &sample_artifact());
+        let bytes = store.to_bytes();
+        let payload = wire::open(STORE_MAGIC, STORE_VERSION, &bytes).unwrap();
+        let mut longer = payload.to_vec();
+        longer.push(0);
+        let resealed = wire::seal(STORE_MAGIC, STORE_VERSION, &longer);
+        assert!(matches!(
+            FragmentStore::from_bytes(&resealed),
+            Err(SnapshotError::TrailingBytes { extra: 1 })
+        ));
     }
 
     #[test]

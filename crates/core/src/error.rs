@@ -74,7 +74,8 @@ impl std::error::Error for VmError {}
 /// Why a serialized snapshot / replay artifact could not be loaded or
 /// applied. Every wire format in the workspace (snapshots, replay logs,
 /// `.repro` bundles) shares the same envelope — magic, version, payload,
-/// FNV-1a checksum trailer — and surfaces its failures through this type.
+/// `alpha_isa::hash::checksum` trailer — and surfaces its failures
+/// through this type.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotError {
     /// The stream does not begin with the expected magic number (wrong
@@ -99,6 +100,12 @@ pub enum SnapshotError {
         expected: u64,
         /// Checksum recomputed over the payload.
         actual: u64,
+    },
+    /// The structure decoded completely but the payload goes on: a
+    /// writer appended data its reader does not know about.
+    TrailingBytes {
+        /// Payload bytes left over after the last field.
+        extra: usize,
     },
     /// A store entry's embedded artifact key does not match the index key
     /// it was filed under (payloads swapped or remapped on disk — the
@@ -134,6 +141,9 @@ impl fmt::Display for SnapshotError {
                 f,
                 "checksum mismatch: trailer {expected:#018x}, payload {actual:#018x}"
             ),
+            SnapshotError::TrailingBytes { extra } => {
+                write!(f, "{extra} unread byte(s) after the last field")
+            }
             SnapshotError::KeyMismatch { index, embedded } => write!(
                 f,
                 "store entry filed under key ({:#018x}, {:#018x}) embeds key ({:#018x}, {:#018x})",

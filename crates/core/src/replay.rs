@@ -28,11 +28,12 @@ use crate::wire::{self, Cursor};
 /// Magic number of the replay-log wire format (`"ILPR"`).
 pub const REPLAY_MAGIC: u32 = 0x5250_4C49;
 
-/// Current replay-log format version. Version 5 removed the background
-/// translation-pool events of versions 2–4 and renumbered the region
-/// events' wire tags; logs written by versions 1–4 are refused with
-/// [`SnapshotError::BadVersion`], as are future versions.
-pub const REPLAY_VERSION: u32 = 5;
+/// Current replay-log format version. Version 6 seals with
+/// `alpha_isa::hash::checksum`; its events are version 5's, which removed
+/// the background translation-pool events of versions 2–4 and renumbered
+/// the region events' wire tags. Logs written by versions 1–5 are refused
+/// with [`SnapshotError::BadVersion`], as are future versions.
+pub const REPLAY_VERSION: u32 = 6;
 
 /// One externally-applied stimulus, in application order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -157,10 +158,7 @@ impl ReplayLog {
 
     /// Deserializes an artifact written by [`to_bytes`](ReplayLog::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, SnapshotError> {
-        let (version, payload) = wire::open(REPLAY_MAGIC, bytes)?;
-        if version != REPLAY_VERSION {
-            return Err(SnapshotError::BadVersion { version });
-        }
+        let payload = wire::open(REPLAY_MAGIC, REPLAY_VERSION, bytes)?;
         let mut c = Cursor::new(payload);
         let mut log = ReplayLog {
             seed: c.take_u64()?,
@@ -181,6 +179,7 @@ impl ReplayLog {
         for _ in 0..n {
             log.events.push(take_event(&mut c)?);
         }
+        c.finish()?;
         Ok(log)
     }
 
@@ -415,13 +414,28 @@ mod tests {
     }
 
     #[test]
-    fn version_4_log_is_refused() {
-        let v5 = sample().to_bytes();
-        let (_, payload) = wire::open(REPLAY_MAGIC, &v5).unwrap();
-        let v4 = wire::seal(REPLAY_MAGIC, 4, payload);
+    fn older_versions_are_refused() {
+        let current = sample().to_bytes();
+        let payload = wire::open(REPLAY_MAGIC, REPLAY_VERSION, &current).unwrap();
+        for version in 1..REPLAY_VERSION {
+            let old = wire::seal(REPLAY_MAGIC, version, payload);
+            assert_eq!(
+                ReplayLog::from_bytes(&old),
+                Err(SnapshotError::BadVersion { version })
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let current = sample().to_bytes();
+        let payload = wire::open(REPLAY_MAGIC, REPLAY_VERSION, &current).unwrap();
+        let mut longer = payload.to_vec();
+        longer.push(0);
+        let resealed = wire::seal(REPLAY_MAGIC, REPLAY_VERSION, &longer);
         assert_eq!(
-            ReplayLog::from_bytes(&v4),
-            Err(SnapshotError::BadVersion { version: 4 })
+            ReplayLog::from_bytes(&resealed),
+            Err(SnapshotError::TrailingBytes { extra: 1 })
         );
     }
 }

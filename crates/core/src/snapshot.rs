@@ -15,29 +15,29 @@
 //! promptly instead of re-heating from zero.
 //!
 //! The wire format is the common [`wire`] envelope (magic, version,
-//! FNV-1a checksum trailer); a program digest guards against restoring
-//! onto the wrong guest.
+//! checksum trailer); a program digest guards against restoring onto the
+//! wrong guest.
 
 use crate::classify::CategoryCounts;
 use crate::engine::EngineStats;
 use crate::error::SnapshotError;
 use crate::vm::VmStats;
 use crate::wire::{self, Cursor};
+use alpha_isa::hash::checksum;
 use alpha_isa::{Memory, Program};
 
 /// Magic number of the snapshot wire format (`"ILPS"`).
 pub const SNAPSHOT_MAGIC: u32 = 0x5350_4C49;
 
-/// Current snapshot format version. Version 5 serializes every
-/// [`VmStats`] counter in declaration order — it dropped the background
-/// translation-pool counters and added `store_quarantined`,
-/// `store_load_rejects` and `regions_verified`, which earlier versions
-/// silently reset on restore. Versions 1–4 are refused with
+/// Current snapshot format version. Version 6 seals with
+/// `alpha_isa::hash::checksum` (and its program digest uses it); the
+/// payload layout is version 5's, which serializes every [`VmStats`]
+/// counter in declaration order. Versions 1–5 are refused with
 /// [`SnapshotError::BadVersion`], as are future versions.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
-/// Identity digest of a guest program: FNV-1a over the code base, entry
-/// PC, initial SP and every code word. Data segments are excluded on
+/// Identity digest of a guest program: the checksum of the code base,
+/// entry PC, initial SP and every code word. Data segments are excluded on
 /// purpose — a snapshot carries the whole memory image, so a `.repro`
 /// bundle can slice a program down to its code without changing its
 /// identity.
@@ -49,7 +49,7 @@ pub fn program_digest(program: &Program) -> u64 {
     for &w in program.code() {
         wire::put_u32(&mut buf, w);
     }
-    wire::fnv1a(&buf)
+    checksum(&buf)
 }
 
 /// Complete resumable VM state at a fragment boundary. Create one with
@@ -146,10 +146,7 @@ impl Snapshot {
 
     /// Deserializes an artifact written by [`to_bytes`](Snapshot::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let (version, payload) = wire::open(SNAPSHOT_MAGIC, bytes)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::BadVersion { version });
-        }
+        let payload = wire::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?;
         let mut c = Cursor::new(payload);
         let program_digest = c.take_u64()?;
         let v_insts = c.take_u64()?;
@@ -193,6 +190,7 @@ impl Snapshot {
             smc_counts.push((vstart, count));
         }
         let stats = take_stats(&mut c)?;
+        c.finish()?;
         Ok(Snapshot {
             program_digest,
             v_insts,
@@ -491,8 +489,8 @@ mod tests {
         // can fail.
         bytes[4] = 0x7f;
         let body_len = bytes.len() - 8;
-        let checksum = wire::fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        let seal = checksum(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&seal.to_le_bytes());
         assert_eq!(
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::BadVersion { version: 0x7f })
@@ -500,13 +498,28 @@ mod tests {
     }
 
     #[test]
-    fn version_4_snapshot_is_refused() {
-        let v5 = sample().to_bytes();
-        let (_, payload) = wire::open(SNAPSHOT_MAGIC, &v5).unwrap();
-        let v4 = wire::seal(SNAPSHOT_MAGIC, 4, payload);
+    fn older_versions_are_refused() {
+        let current = sample().to_bytes();
+        let payload = wire::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &current).unwrap();
+        for version in 1..SNAPSHOT_VERSION {
+            let old = wire::seal(SNAPSHOT_MAGIC, version, payload);
+            assert_eq!(
+                Snapshot::from_bytes(&old),
+                Err(SnapshotError::BadVersion { version })
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let current = sample().to_bytes();
+        let payload = wire::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &current).unwrap();
+        let mut longer = payload.to_vec();
+        longer.push(0);
+        let resealed = wire::seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &longer);
         assert_eq!(
-            Snapshot::from_bytes(&v4),
-            Err(SnapshotError::BadVersion { version: 4 })
+            Snapshot::from_bytes(&resealed),
+            Err(SnapshotError::TrailingBytes { extra: 1 })
         );
     }
 

@@ -4,12 +4,13 @@
 //! The build environment is offline (no serde), so every persisted
 //! artifact uses the same tiny scheme: little-endian fixed-width
 //! integers, `u32`-length-prefixed byte strings, and a common envelope —
-//! `magic`, `version`, payload, trailing FNV-1a checksum over everything
+//! `magic`, `version`, payload, trailing [`checksum`] over everything
 //! before the trailer. Readers are bounds-checked and fail with
 //! [`SnapshotError`] instead of panicking, so a corrupted artifact
 //! reports *how* it is corrupt.
 
 use crate::error::SnapshotError;
+use alpha_isa::hash::checksum;
 
 /// Appends a byte.
 pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -48,54 +49,58 @@ pub fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// FNV-1a over `bytes` — the checksum every envelope trailer carries.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Wraps a payload in the common envelope: `magic`, `version`, payload,
-/// FNV-1a trailer over all preceding bytes.
+/// [`checksum`] trailer over all preceding bytes.
 pub fn seal(magic: u32, version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 16);
     put_u32(&mut out, magic);
     put_u32(&mut out, version);
     out.extend_from_slice(payload);
-    let checksum = fnv1a(&out);
-    put_u64(&mut out, checksum);
+    let seal = checksum(&out);
+    put_u64(&mut out, seal);
     out
 }
 
-/// Opens an envelope written by [`seal`]: checks the magic, verifies the
-/// checksum trailer, and returns `(version, payload)`. Version
-/// acceptance is the caller's decision — formats may read older
-/// versions.
-pub fn open(magic: u32, bytes: &[u8]) -> Result<(u32, &[u8]), SnapshotError> {
+/// Splits an envelope into `(version, body, trailer)` after checking its
+/// length and magic; `body` is everything the trailer seals.
+fn frame(magic: u32, bytes: &[u8]) -> Result<(u32, &[u8], u64), SnapshotError> {
     if bytes.len() < 16 {
         return Err(SnapshotError::Truncated);
     }
-    let actual_magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if actual_magic != magic {
+    let word =
+        |at: usize| u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
+    if word(0) != magic {
         return Err(SnapshotError::BadMagic {
             expected: magic,
-            actual: actual_magic,
+            actual: word(0),
         });
     }
-    let body = &bytes[..bytes.len() - 8];
-    let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let checksum = fnv1a(body);
-    if checksum != trailer {
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let mut seal = [0u8; 8];
+    seal.copy_from_slice(trailer);
+    Ok((word(4), body, u64::from_le_bytes(seal)))
+}
+
+/// Opens an envelope written by [`seal`] at `version`: checks the magic,
+/// then the version, then the checksum trailer, and returns the payload.
+/// The version goes before the seal because a file of another format
+/// version may be sealed by another checksum too: it must be refused as
+/// [`SnapshotError::BadVersion`], not reported as corrupt.
+pub fn open(magic: u32, version: u32, bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+    let (actual_version, body, trailer) = frame(magic, bytes)?;
+    if actual_version != version {
+        return Err(SnapshotError::BadVersion {
+            version: actual_version,
+        });
+    }
+    let actual = checksum(body);
+    if actual != trailer {
         return Err(SnapshotError::ChecksumMismatch {
             expected: trailer,
-            actual: checksum,
+            actual,
         });
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    Ok((version, &body[8..]))
+    Ok(&body[8..])
 }
 
 /// Opens an envelope without failing on a damaged checksum trailer:
@@ -106,21 +111,8 @@ pub fn open(magic: u32, bytes: &[u8]) -> Result<(u32, &[u8]), SnapshotError> {
 /// no longer matches — a single flipped bit must cost one entry, not the
 /// whole store.
 pub fn open_lenient(magic: u32, bytes: &[u8]) -> Result<(u32, &[u8], bool), SnapshotError> {
-    if bytes.len() < 16 {
-        return Err(SnapshotError::Truncated);
-    }
-    let actual_magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if actual_magic != magic {
-        return Err(SnapshotError::BadMagic {
-            expected: magic,
-            actual: actual_magic,
-        });
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let seal_ok = fnv1a(body) == trailer;
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    Ok((version, &body[8..], seal_ok))
+    let (version, body, trailer) = frame(magic, bytes)?;
+    Ok((version, &body[8..], checksum(body) == trailer))
 }
 
 /// A bounds-checked read cursor over an opened payload.
@@ -139,6 +131,15 @@ impl<'a> Cursor<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
+    }
+
+    /// Ends a strict decode: fails with [`SnapshotError::TrailingBytes`]
+    /// if any payload byte was left unread.
+    pub fn finish(self) -> Result<(), SnapshotError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(SnapshotError::TrailingBytes { extra }),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -197,30 +198,50 @@ mod tests {
         put_opt_u64(&mut payload, None);
         put_opt_u64(&mut payload, Some(7));
         let sealed = seal(0x1234_5678, 3, &payload);
-        let (version, body) = open(0x1234_5678, &sealed).unwrap();
-        assert_eq!(version, 3);
+        let body = open(0x1234_5678, 3, &sealed).unwrap();
         let mut c = Cursor::new(body);
         assert_eq!(c.take_u64().unwrap(), 42);
         assert_eq!(c.take_bytes().unwrap(), b"hello");
         assert_eq!(c.take_opt_u64().unwrap(), None);
         assert_eq!(c.take_opt_u64().unwrap(), Some(7));
         assert_eq!(c.remaining(), 0);
+        assert_eq!(c.finish(), Ok(()));
     }
 
     #[test]
     fn envelope_detects_corruption() {
         let sealed = seal(0xABCD, 1, b"payload");
         assert!(matches!(
-            open(0xDCBA, &sealed),
+            open(0xDCBA, 1, &sealed),
             Err(SnapshotError::BadMagic { .. })
         ));
         let mut flipped = sealed.clone();
         flipped[9] ^= 0x40;
         assert!(matches!(
-            open(0xABCD, &flipped),
+            open(0xABCD, 1, &flipped),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
-        assert_eq!(open(0xABCD, &sealed[..10]), Err(SnapshotError::Truncated));
+        assert_eq!(
+            open(0xABCD, 1, &sealed[..10]),
+            Err(SnapshotError::Truncated)
+        );
+    }
+
+    #[test]
+    fn version_is_checked_before_the_seal() {
+        // A file from another format version whose trailer this build's
+        // checksum does not reproduce is version skew, not corruption.
+        let mut other = seal(0xABCD, 2, b"payload");
+        let n = other.len();
+        other[n - 1] ^= 0xff;
+        assert_eq!(
+            open(0xABCD, 3, &other),
+            Err(SnapshotError::BadVersion { version: 2 })
+        );
+        assert!(matches!(
+            open(0xABCD, 2, &other),
+            Err(SnapshotError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]
@@ -246,5 +267,12 @@ mod tests {
     fn cursor_rejects_overread() {
         let mut c = Cursor::new(&[1, 2, 3]);
         assert_eq!(c.take_u32(), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn cursor_finish_rejects_unread_bytes() {
+        let mut c = Cursor::new(&[1, 2, 3]);
+        c.take_u16().unwrap();
+        assert_eq!(c.finish(), Err(SnapshotError::TrailingBytes { extra: 1 }));
     }
 }
