@@ -22,7 +22,6 @@ fn run(w: &Workload, max_superblock: usize, threshold: u32) -> f64 {
         profile: ProfileConfig {
             threshold,
             max_superblock,
-            ..ProfileConfig::default()
         },
         ..VmConfig::default()
     };

@@ -10,16 +10,14 @@
 //!    cumulatively across the seam.
 //! 2. **record→replay equality** — one recorded chaos cell per workload
 //!    must replay from its envelope to the identical tally.
-//! 3. **region record→replay** — every workload × both ISA forms runs
-//!    with region re-formation forced hot (a low promotion trigger); the
-//!    recorded [`ReplayEvent::RegionPromote`] /
-//!    [`ReplayEvent::RegionDrop`] count-anchored events must survive the
-//!    `ReplayLog` wire format, and a fresh VM re-running the program must
-//!    reproduce the identical architected state (registers, memory
-//!    digest, console output, retired count) *and* the identical
-//!    region-event sequence. The matrix as a whole must record at least
-//!    one region event (a run where no promotion fires gates nothing and
-//!    fails loudly).
+//! 3. **region re-run** — every workload × both ISA forms runs with
+//!    region re-formation forced hot (a low promotion trigger); a fresh
+//!    VM re-running the program must reproduce the identical architected
+//!    state (registers, memory digest, console output, retired count)
+//!    *and* the identical sequence of region decisions
+//!    ([`Vm::region_events`]). The matrix as a whole must make at least
+//!    one region decision (a run where no promotion fires gates nothing
+//!    and fails loudly).
 //! 4. **triage bundle roundtrip** — a seeded miscompile must triage to a
 //!    `.repro` bundle that survives its wire format and replays to the
 //!    identical divergence.
@@ -33,9 +31,7 @@ use ildp_bench::chaos::{cell_config, chaos_cell_recorded, chaos_replay, interp_r
 use ildp_bench::harness_scale;
 use ildp_bench::lint::{form_name, LintReport};
 use ildp_bench::triage::{paced_run_events, triage_run, ReproBundle};
-use ildp_core::{
-    ChainPolicy, NullSink, ReplayEvent, ReplayLog, Sabotage, Snapshot, Vm, VmConfig, VmExit,
-};
+use ildp_core::{ChainPolicy, NullSink, ReplayLog, Sabotage, Snapshot, Vm, VmConfig, VmExit};
 use ildp_isa::IsaForm;
 use spec_workloads::{suite, Workload};
 
@@ -128,12 +124,10 @@ fn record_replay(w: &Workload, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// A run recorded with region re-formation forced hot must carry its
-/// [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`] events
-/// through the `ReplayLog` wire format, and a fresh VM re-running the
-/// program must reach the bit-identical architected state and event log.
-/// Returns the number of region events observed so the caller can gate
-/// matrix-wide coverage.
+/// A fresh VM re-running a program with region re-formation forced hot
+/// must reach the bit-identical architected state and make the same
+/// region decisions at the same counts. Returns the number of decisions
+/// so the caller can gate matrix-wide coverage.
 fn region_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
     let cell = format!("{}:{}:region", w.name, form_name(form));
     let mut config = VmConfig {
@@ -152,34 +146,8 @@ fn region_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
     if exit != VmExit::Halted {
         return Err(format!("{cell}: recorded run exited {exit:?}"));
     }
-    let events = recorded.take_region_events();
-    let region_events = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. }
-            )
-        })
-        .count() as u64;
-
-    // The wire format must round-trip the region events exactly.
-    let log = ReplayLog {
-        seed: 0,
-        sabotage: Vec::new(),
-        events: events.clone(),
-    };
-    let roundtripped =
-        ReplayLog::from_bytes(&log.to_bytes()).map_err(|e| format!("{cell}: log wire: {e}"))?;
-    if roundtripped.events != events {
-        return Err(format!(
-            "{cell}: region events changed across the ReplayLog wire roundtrip"
-        ));
-    }
-
-    // Replay: region promotion re-fires from the same deterministic
-    // entry counts and must re-emit the identical count-anchored event
-    // sequence.
+    // Region promotion re-fires from the same deterministic entry counts
+    // and must make the identical decisions.
     let mut replayed = Vm::new(config, &w.program);
     let exit = replayed.run(budget, &mut NullSink);
     if exit != VmExit::Halted {
@@ -201,12 +169,12 @@ fn region_replay(w: &Workload, form: IsaForm) -> Result<u64, String> {
             recorded.v_instructions()
         ));
     }
-    if replayed.region_events() != roundtripped.events.as_slice() {
+    if replayed.region_events() != recorded.region_events() {
         return Err(format!(
-            "{cell}: replayed region-event log differs from the recording"
+            "{cell}: replayed region decisions differ from the recording"
         ));
     }
-    Ok(region_events)
+    Ok(recorded.region_events().len() as u64)
 }
 
 /// A seeded miscompile must produce a bundle that replays to the exact
@@ -287,8 +255,8 @@ fn main() {
             }
         }
     }
-    // Region record→replay: every workload × both forms, with
-    // matrix-wide coverage (at least one region event somewhere).
+    // Region re-run: every workload × both forms, with matrix-wide
+    // coverage (at least one region decision somewhere).
     let mut region_events = 0u64;
     for w in &suite {
         for form in [IsaForm::Basic, IsaForm::Modified] {
@@ -297,7 +265,7 @@ fn main() {
                 Ok(n) => {
                     region_events += n;
                     println!(
-                        "{:<10} {:>8} region record/replay ok ({n} region events)",
+                        "{:<10} {:>8} region re-run ok ({n} region events)",
                         w.name,
                         form_name(form)
                     );
@@ -311,7 +279,7 @@ fn main() {
     }
     checks += 1;
     if region_events == 0 {
-        let e = "no RegionPromote/RegionDrop events recorded anywhere in the matrix \
+        let e = "no region decision made anywhere in the matrix \
                  — the region-event gate exercised nothing"
             .to_string();
         println!("FAIL {e}");

@@ -264,9 +264,6 @@ pub fn apply_event(vm: &mut Vm, ev: &ReplayEvent, report: &mut ChaosReport) -> O
             report.injections += 1;
             None
         }
-        // Region decisions are not injections: the VM re-derives them
-        // itself at their count anchors.
-        ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. } => None,
     }
 }
 
@@ -458,10 +455,9 @@ fn check_outcome(
 /// Runs one chaos cell — a capacity-bounded, fuel-limited VM over the
 /// workload with faults injected at every chunk boundary, compared
 /// against the pure-interpreter reference — while recording the full
-/// nondeterministic envelope, including the count-anchored region
-/// decisions the VM made. Returns
-/// the tally (or a description of the divergence) *and* the [`ReplayLog`]
-/// that reproduces the run exactly, pass or fail.
+/// nondeterministic envelope. Returns the tally (or a description of the
+/// divergence) *and* the [`ReplayLog`] that reproduces the run exactly,
+/// pass or fail.
 pub fn chaos_cell_recorded(
     w: &Workload,
     form: IsaForm,
@@ -488,9 +484,6 @@ pub fn chaos_cell_recorded(
         let target = (reference.insts * c / (chunks + 1)).max(1);
         log.events.push(ReplayEvent::Run { budget: target });
         exit = vm.run(target, &mut NullSink);
-        // Count-anchored region decisions made during this run chunk
-        // ride along in the log, before this boundary's injections.
-        log.events.append(&mut vm.take_region_events());
         match exit {
             VmExit::Budget => inject_round(&mut vm, &mut rng, &mut report, &mut log.events),
             _ => break,
@@ -499,7 +492,6 @@ pub fn chaos_cell_recorded(
     if exit == VmExit::Budget {
         log.events.push(ReplayEvent::Run { budget });
         exit = vm.run(budget, &mut NullSink);
-        log.events.append(&mut vm.take_region_events());
     }
     let cell = format!("{} {form:?} {} seed {seed}", w.name, chain.label());
     (check_outcome(&vm, exit, &reference, report, &cell), log)
@@ -553,11 +545,6 @@ pub fn chaos_replay(
                     }
                 }
             }
-            // Recorded region decisions: the replaying VM re-derives them
-            // deterministically, so they are informational here — and
-            // must not clobber the victim of a preceding structural
-            // injection.
-            ReplayEvent::RegionPromote { .. } | ReplayEvent::RegionDrop { .. } => {}
             _ => pending_victim = apply_event(&mut vm, ev, &mut report),
         }
     }

@@ -46,10 +46,10 @@ use std::fmt;
 /// Magic number of the `.repro` bundle wire format (`"ILPB"`).
 pub const REPRO_MAGIC: u32 = 0x4250_4C49;
 
-/// Current `.repro` bundle format version. Version 2 seals with
-/// `alpha_isa::hash::checksum` and nests version-6 snapshots and replay
-/// logs; older bundles are refused with [`SnapshotError::BadVersion`].
-pub const REPRO_VERSION: u32 = 2;
+/// Current `.repro` bundle format version. Version 3 nests version-6
+/// snapshots and version-7 (inputs-only) replay logs; older bundles are
+/// refused with [`SnapshotError::BadVersion`].
+pub const REPRO_VERSION: u32 = 3;
 
 /// An instruction-accurate reference interpreter that can start either
 /// from program entry or from a verified-good checkpoint, and advance to
@@ -609,9 +609,7 @@ pub fn triage_run(
     // The wall-clock diagnostics in VmStats are not part of the
     // deterministic envelope; zero them so identical failures produce
     // byte-identical bundles.
-    entry.stats.verify_nanos = 0;
-    entry.stats.translate_stall_nanos = 0;
-    entry.stats.translate_wall_nanos = 0;
+    entry.stats.clear_wall_clock();
     let entry = &entry;
     // Phase C: lockstep localization from the last good checkpoint. The
     // trimmed log keeps the standing sabotage rules and every event not
@@ -862,6 +860,19 @@ mod tests {
                 output_diverged: false,
                 abnormal_exit: false,
             },
+        }
+    }
+
+    #[test]
+    fn older_bundle_versions_are_refused() {
+        let bytes = sample().to_bytes();
+        let payload = wire::open(REPRO_MAGIC, REPRO_VERSION, &bytes).unwrap();
+        for version in 1..REPRO_VERSION {
+            let old = wire::seal(REPRO_MAGIC, version, payload);
+            assert_eq!(
+                ReproBundle::from_bytes(&old),
+                Err(SnapshotError::BadVersion { version })
+            );
         }
     }
 

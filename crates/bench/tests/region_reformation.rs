@@ -13,7 +13,7 @@
 
 use ildp_bench::chaos::interp_reference;
 use ildp_bench::lint::{ALL_CHAINS, ALL_FORMS};
-use ildp_core::{ChainPolicy, NullSink, Translator, Vm, VmConfig, VmExit};
+use ildp_core::{ChainPolicy, NullSink, Translator, Vm, VmConfig, VmExit, REGION_BUDGET};
 use ildp_isa::IsaForm;
 use ildp_verifier::take_report;
 use proptest::prelude::*;
@@ -133,7 +133,7 @@ proptest! {
         // engine can be inside: an unrolled region (two passes over the
         // region budget) or one plain superblock.
         let max_overshoot =
-            (2 * config.region_budget as u64).max(config.profile.max_superblock as u64);
+            (2 * REGION_BUDGET as u64).max(config.profile.max_superblock as u64);
         let mut vm = Vm::new(config, &w.program);
         let pause_at = (reference.insts * pause_permille / 1000).max(1);
         let exit = vm.run(pause_at, &mut NullSink);

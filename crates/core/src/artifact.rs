@@ -234,15 +234,16 @@ pub struct FragmentArtifact {
 }
 
 impl FragmentArtifact {
-    /// Packages a fresh translation for the store.
-    pub fn from_translation(code: &TranslatedCode, form: IsaForm) -> FragmentArtifact {
+    /// Packages a fresh translation for the store (dropping its analysis
+    /// trace).
+    pub fn from_translation(code: TranslatedCode, form: IsaForm) -> FragmentArtifact {
         FragmentArtifact {
             vstart: code.vstart,
             form,
             src_inst_count: code.src_inst_count,
-            insts: code.insts.clone(),
-            meta: code.meta.clone(),
-            recovery: code.recovery.clone(),
+            insts: code.insts,
+            meta: code.meta,
+            recovery: code.recovery,
             copies: code.stats.copies,
             strands: code.stats.strands,
             terminations: code.stats.terminations,

@@ -10,15 +10,16 @@
 //! by merging accumulator-resident architected values from the fragment's
 //! recovery tables (paper §2.2).
 
-use crate::classify::{CategoryCounts, UsageCat};
+use crate::classify::UsageCat;
 use crate::error::VmError;
 use crate::fragment::{
-    FragmentId, RetireSums, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
+    emit_dispatch, FragmentId, RetireSums, TranslationCache, DISPATCH_COST_INSTS, DISPATCH_IADDR,
 };
 use crate::lower::{Alu, Fault, Op, Src};
-use alpha_isa::{AlignPolicy, CpuState, Memory, Reg, Trap};
+use crate::stats::EngineStats;
+use alpha_isa::{CpuState, Memory, Reg, Trap};
 use ildp_isa::{Acc, IInst, ITarget, MemWidth};
-use ildp_uarch::{DynInst, InstClass};
+use ildp_uarch::DynInst;
 
 /// Consumes the retired-instruction stream.
 ///
@@ -117,34 +118,6 @@ pub enum FragExit {
     },
 }
 
-/// Execution statistics accumulated by the engine (the dynamic side of
-/// Table 2 and Figure 7).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct EngineStats {
-    /// Total I-ISA instructions executed (including dispatch expansion).
-    pub executed: u64,
-    /// Chaining-overhead instructions executed (including dispatch).
-    pub chain_executed: u64,
-    /// Copy instructions executed.
-    pub copies_executed: u64,
-    /// V-ISA instructions retired by translated code.
-    pub v_insts: u64,
-    /// Dynamic usage-category counts (Figure 7), array-backed and shared
-    /// with the static side via [`CategoryCounts`].
-    pub categories: CategoryCounts,
-    /// Shared-dispatch executions.
-    pub dispatches: u64,
-    /// Architectural dual-RAS predictions that matched.
-    pub ras_hits: u64,
-    /// Architectural dual-RAS mismatches (fell through to dispatch).
-    pub ras_misses: u64,
-    /// Fragment entries.
-    pub fragment_entries: u64,
-    /// Entries into re-formed region fragments (a subset of
-    /// `fragment_entries`).
-    pub region_entries: u64,
-}
-
 impl EngineStats {
     /// Dynamic count for one usage category.
     pub fn category(&self, cat: UsageCat) -> u64 {
@@ -160,12 +133,8 @@ impl EngineStats {
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Instructions charged per shared-dispatch execution (paper: 20).
-    pub dispatch_cost: u32,
     /// Architectural dual-RAS depth.
     pub ras_depth: usize,
-    /// Alignment policy for translated memory accesses.
-    pub align: AlignPolicy,
     /// Watchdog fuel: the maximum V-ISA instructions one [`Engine::run`]
     /// dispatch may retire before being preempted at the next fragment
     /// boundary ([`FragExit::Preempted`]); the VM then demotes the
@@ -184,18 +153,12 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            dispatch_cost: DISPATCH_COST_INSTS,
             ras_depth: 8,
-            align: AlignPolicy::Enforce,
             fuel: None,
             region_trigger: Some(4096),
         }
     }
 }
-
-/// Base address of the dispatch code's hash-table probes (for D-cache
-/// behavior of the dispatch loads).
-const DISPATCH_TABLE_BASE: u64 = 0xE000_0000;
 
 /// One architectural dual-RAS entry: the architected (V, I) return-address
 /// pair, plus a fast-path annotation — the fragment the I-address enters,
@@ -365,39 +328,9 @@ impl Engine {
         sink: &mut S,
     ) {
         self.stats.dispatches += 1;
-        let n = self.config.dispatch_cost.max(2);
-        self.stats.executed += n as u64;
-        self.stats.chain_executed += n as u64;
-        if !S::TRACING {
-            return;
-        }
-        // A short dependence chain: hash the V-PC, probe the translation
-        // table (two loads), compare, then jump indirect.
-        let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        let probe = DISPATCH_TABLE_BASE + (hash & 0xfff) * 16;
-        for k in 0..n {
-            let pc = DISPATCH_IADDR + (k as u64) * 4;
-            let mut d = DynInst::alu(pc, 4);
-            d.vcount = 0;
-            // Thread a dependence chain through scratch register names
-            // 200.. so the dispatch has realistic ILP (~4-deep chain).
-            let scratch = 200 + (k % 4) as u8;
-            d.dst = Some(scratch);
-            if k > 0 {
-                d.srcs[0] = Some(200 + ((k - 1) % 4) as u8);
-            }
-            if k == 2 || k == 3 {
-                d.class = InstClass::Load;
-                d.mem_addr = Some(probe + (k as u64 - 2) * 8);
-            }
-            if k == n - 1 {
-                d.class = InstClass::IndirectJump;
-                d.dst = None;
-                d.next_pc = target_iaddr.unwrap_or(DISPATCH_IADDR);
-                d.taken = true;
-            }
-            sink.retire(&d);
-        }
+        self.stats.executed += DISPATCH_COST_INSTS as u64;
+        self.stats.chain_executed += DISPATCH_COST_INSTS as u64;
+        emit_dispatch(vtarget, target_iaddr, sink);
     }
 
     /// Executes translated code starting at `entry` until the program
@@ -607,7 +540,7 @@ impl Engine {
                         dst,
                     } => {
                         let a = self.src(addr, acc, cpu).wrapping_add(disp as i64 as u64);
-                        if let Err(trap) = check_align(a, width, self.config.align) {
+                        if let Err(trap) = check_align(a, width) {
                             leave!(FragExit::Trap {
                                 vaddr: metas[idx].vaddr,
                                 trap,
@@ -634,7 +567,7 @@ impl Engine {
                         value,
                     } => {
                         let a = self.src(addr, acc, cpu).wrapping_add(disp as i64 as u64);
-                        if let Err(trap) = check_align(a, width, self.config.align) {
+                        if let Err(trap) = check_align(a, width) {
                             leave!(FragExit::Trap {
                                 vaddr: metas[idx].vaddr,
                                 trap,
@@ -878,9 +811,11 @@ fn fault_exit(fault: Fault, fid: FragmentId, idx: usize) -> FragExit {
     }
 }
 
-fn check_align(addr: u64, width: MemWidth, policy: AlignPolicy) -> Result<(), Trap> {
+/// Translated memory accesses trap on misalignment, exactly like the
+/// interpreter (`AlignPolicy::Enforce`).
+fn check_align(addr: u64, width: MemWidth) -> Result<(), Trap> {
     let bytes = width.bytes();
-    if policy == AlignPolicy::Enforce && bytes > 1 && !addr.is_multiple_of(bytes as u64) {
+    if bytes > 1 && !addr.is_multiple_of(bytes as u64) {
         return Err(Trap::UnalignedAccess {
             addr,
             required: bytes,
@@ -895,6 +830,7 @@ mod tests {
     use crate::fragment::IMeta;
     use alpha_isa::{IdMap, JumpKind, OperateOp};
     use ildp_isa::{ASrc, CondKind, IsaForm};
+    use ildp_uarch::InstClass;
 
     /// A sink that records every retired instruction.
     #[derive(Default)]

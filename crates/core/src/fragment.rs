@@ -9,6 +9,7 @@
 //! direct branch (paper §3.2).
 
 use crate::classify::UsageCat;
+use crate::engine::TraceSink;
 use crate::lower::{self, Op};
 use alpha_isa::{IdMap, Reg};
 use ildp_isa::{Acc, IInst, ITarget, IsaForm};
@@ -272,6 +273,49 @@ pub const DISPATCH_IADDR: u64 = 0xEFFF_0000;
 /// Number of instructions executed by the shared dispatch sequence
 /// (paper §3.2: "The dispatch code takes 20 instructions").
 pub const DISPATCH_COST_INSTS: u32 = 20;
+
+/// Base address of the dispatch code's hash-table probes (for D-cache
+/// behavior of the dispatch loads).
+const DISPATCH_TABLE_BASE: u64 = 0xE000_0000;
+
+/// Streams the retire records of one pass through the shared dispatch
+/// code, for tracing sinks: a short dependence chain hashes the V-PC
+/// `vtarget`, probes the translation table (two loads), compares, then
+/// jumps indirect to `target_iaddr` (`None` models a miss, which
+/// re-enters the dispatch address). The engine and the straightening
+/// model both charge [`DISPATCH_COST_INSTS`] per pass; this is the one
+/// place that says what those instructions are.
+pub(crate) fn emit_dispatch<S: TraceSink>(vtarget: u64, target_iaddr: Option<u64>, sink: &mut S) {
+    if !S::TRACING {
+        return;
+    }
+    let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
+    let probe = DISPATCH_TABLE_BASE + (hash & 0xfff) * 16;
+    let n = DISPATCH_COST_INSTS;
+    for k in 0..n {
+        let pc = DISPATCH_IADDR + (k as u64) * 4;
+        let mut d = DynInst::alu(pc, 4);
+        d.vcount = 0;
+        // Thread a dependence chain through scratch register names
+        // 200.. so the dispatch has realistic ILP (~4-deep chain).
+        let scratch = 200 + (k % 4) as u8;
+        d.dst = Some(scratch);
+        if k > 0 {
+            d.srcs[0] = Some(200 + ((k - 1) % 4) as u8);
+        }
+        if k == 2 || k == 3 {
+            d.class = InstClass::Load;
+            d.mem_addr = Some(probe + (k as u64 - 2) * 8);
+        }
+        if k == n - 1 {
+            d.class = InstClass::IndirectJump;
+            d.dst = None;
+            d.next_pc = target_iaddr.unwrap_or(DISPATCH_IADDR);
+            d.taken = true;
+        }
+        sink.retire(&d);
+    }
+}
 
 /// Guest-page granularity of the self-modifying-code reverse map (4 KiB,
 /// matching the memory model's page size).

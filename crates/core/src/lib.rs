@@ -39,6 +39,7 @@ mod lower;
 mod profile;
 mod replay;
 mod snapshot;
+mod stats;
 mod straighten;
 mod strands;
 mod superblock;
@@ -55,7 +56,7 @@ pub use classify::{
     analyze, analyze_oracle, CategoryCounts, Dataflow, Reaching, UsageCat, ValueId, ValueInfo,
 };
 pub use cost::CostModel;
-pub use engine::{Engine, EngineConfig, EngineStats, FragExit, NullSink, TraceSink};
+pub use engine::{Engine, EngineConfig, FragExit, NullSink, TraceSink};
 pub use error::{SnapshotError, VmError};
 pub use fragment::{
     Fragment, FragmentId, IMeta, RecoveryEntry, TranslationCache, CODE_CACHE_BASE,
@@ -67,6 +68,7 @@ pub use profile::{
 };
 pub use replay::{ReplayEvent, ReplayLog, Sabotage, REPLAY_MAGIC, REPLAY_VERSION};
 pub use snapshot::{program_digest, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use stats::{EngineStats, VmStats};
 pub use straighten::{StraightenStats, StraightenedVm};
 pub use strands::{plan, Role, TranslationPlan};
 pub use superblock::{
@@ -75,6 +77,6 @@ pub use superblock::{
 };
 pub use translate::{ChainPolicy, TranslateStats, TranslatedCode, TranslationTrace, Translator};
 pub use vm::{
-    trace_original, FlushPolicy, InstallReview, InstallValidator, OnViolation, Vm, VmConfig,
-    VmExit, VmStats,
+    trace_original, FlushPolicy, InstallReview, InstallValidator, OnViolation, RegionDecision, Vm,
+    VmConfig, VmExit, REGION_BUDGET,
 };

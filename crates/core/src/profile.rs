@@ -28,8 +28,6 @@ pub struct ProfileConfig {
     pub threshold: u32,
     /// Maximum superblock length in V-ISA instructions.
     pub max_superblock: usize,
-    /// Alignment-trap policy for interpretation.
-    pub align: AlignPolicy,
 }
 
 impl Default for ProfileConfig {
@@ -37,7 +35,6 @@ impl Default for ProfileConfig {
         ProfileConfig {
             threshold: 50,
             max_superblock: 200,
-            align: AlignPolicy::Enforce,
         }
     }
 }
@@ -171,7 +168,7 @@ pub fn interp_step(
         Ok(i) => i,
         Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
     };
-    let outcome = match step(cpu, mem, inst, config.align) {
+    let outcome = match step(cpu, mem, inst, AlignPolicy::Enforce) {
         Ok(o) => o,
         Err(trap) => return InterpEvent::Trapped { vaddr: pc, trap },
     };
@@ -269,7 +266,7 @@ pub fn collect_superblock_with_output(
             });
         }
         let inst = program.fetch(pc).map_err(|t| (pc, t))?;
-        let outcome = step(cpu, mem, inst, config.align).map_err(|t| (pc, t))?;
+        let outcome = step(cpu, mem, inst, AlignPolicy::Enforce).map_err(|t| (pc, t))?;
         if let Some(b) = outcome.output {
             output.push(b);
         }

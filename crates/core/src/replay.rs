@@ -28,12 +28,12 @@ use crate::wire::{self, Cursor};
 /// Magic number of the replay-log wire format (`"ILPR"`).
 pub const REPLAY_MAGIC: u32 = 0x5250_4C49;
 
-/// Current replay-log format version. Version 6 seals with
-/// `alpha_isa::hash::checksum`; its events are version 5's, which removed
-/// the background translation-pool events of versions 2–4 and renumbered
-/// the region events' wire tags. Logs written by versions 1–5 are refused
-/// with [`SnapshotError::BadVersion`], as are future versions.
-pub const REPLAY_VERSION: u32 = 6;
+/// Current replay-log format version. Version 7 carries inputs only: the
+/// region promote/drop events of versions 4–6 (wire tags 8 and 9) are VM
+/// outputs and left the log (see [`Vm::region_events`](crate::Vm::region_events)).
+/// Logs written by versions 1–6 are refused with
+/// [`SnapshotError::BadVersion`], as are future versions.
+pub const REPLAY_VERSION: u32 = 7;
 
 /// One externally-applied stimulus, in application order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,26 +88,6 @@ pub enum ReplayEvent {
     /// The C01–C07 installed-fragment audit ran and healed every flagged
     /// fragment by precise invalidation.
     AuditHeal,
-    /// A hot fragment chain was re-formed into a merged region installed
-    /// at its head. Promotion is derived deterministically from cache
-    /// state, so a replaying VM re-derives it at the same anchor; the
-    /// recorded event is the witness the replay harness compares against.
-    RegionPromote {
-        /// Entry V-address of the region head.
-        fragment_vstart: u64,
-        /// Retired-instruction count when the region installed.
-        at_v_insts: u64,
-    },
-    /// A region re-formation was refused (the profitability gate, or a
-    /// verifier rejection under `OnViolation::Reject`); the head was
-    /// banned from re-promotion and its constituent fragments were left
-    /// untouched.
-    RegionDrop {
-        /// Entry V-address of the refused region head.
-        fragment_vstart: u64,
-        /// Retired-instruction count at the refusal.
-        at_v_insts: u64,
-    },
 }
 
 /// A standing translator-miscompile rule: whenever a fragment with entry
@@ -195,22 +175,10 @@ impl ReplayLog {
             .iter()
             .position(|ev| matches!(*ev, ReplayEvent::Run { budget } if budget > v_insts))
             .unwrap_or(self.events.len());
-        // Region events anchored at or before the checkpoint are already
-        // reflected in the restored run, so only the ones anchored past
-        // the checkpoint stay live.
-        let events = self.events[start..]
-            .iter()
-            .filter(|ev| match **ev {
-                ReplayEvent::RegionPromote { at_v_insts, .. }
-                | ReplayEvent::RegionDrop { at_v_insts, .. } => at_v_insts > v_insts,
-                _ => true,
-            })
-            .copied()
-            .collect();
         ReplayLog {
             seed: self.seed,
             sabotage: self.sabotage.clone(),
-            events,
+            events: self.events[start..].to_vec(),
         }
     }
 }
@@ -256,22 +224,6 @@ fn put_event(p: &mut Vec<u8>, ev: &ReplayEvent) {
             wire::put_u64(p, len);
         }
         ReplayEvent::AuditHeal => wire::put_u8(p, 7),
-        ReplayEvent::RegionPromote {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 8);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
-        ReplayEvent::RegionDrop {
-            fragment_vstart,
-            at_v_insts,
-        } => {
-            wire::put_u8(p, 9);
-            wire::put_u64(p, fragment_vstart);
-            wire::put_u64(p, at_v_insts);
-        }
     }
 }
 
@@ -301,14 +253,6 @@ fn take_event(c: &mut Cursor<'_>) -> Result<ReplayEvent, SnapshotError> {
             len: c.take_u64()?,
         },
         7 => ReplayEvent::AuditHeal,
-        8 => ReplayEvent::RegionPromote {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
-        9 => ReplayEvent::RegionDrop {
-            fragment_vstart: c.take_u64()?,
-            at_v_insts: c.take_u64()?,
-        },
         // An unknown tag means the artifact is newer than this build —
         // report it as a version problem, not corruption.
         tag => {
@@ -377,40 +321,6 @@ mod tests {
         assert_eq!(t.events.len(), 5);
         // Trimming past every anchor leaves only the rules.
         assert!(log.trimmed_to(10_000).events.is_empty());
-    }
-
-    #[test]
-    fn region_events_roundtrip_and_trim_by_anchor() {
-        let log = ReplayLog {
-            seed: 23,
-            sabotage: Vec::new(),
-            events: vec![
-                ReplayEvent::Run { budget: 900 },
-                ReplayEvent::RegionDrop {
-                    fragment_vstart: 0x1_0040,
-                    at_v_insts: 120,
-                },
-                ReplayEvent::RegionPromote {
-                    fragment_vstart: 0x1_0080,
-                    at_v_insts: 640,
-                },
-            ],
-        };
-        let back = ReplayLog::from_bytes(&log.to_bytes()).unwrap();
-        assert_eq!(back, log);
-        // Region events are count-anchored: ones already reflected in a
-        // checkpoint trim away.
-        let t = log.trimmed_to(300);
-        assert_eq!(
-            t.events,
-            vec![
-                ReplayEvent::Run { budget: 900 },
-                ReplayEvent::RegionPromote {
-                    fragment_vstart: 0x1_0080,
-                    at_v_insts: 640,
-                },
-            ]
-        );
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! wrong guest.
 
 use crate::classify::CategoryCounts;
-use crate::engine::EngineStats;
 use crate::error::SnapshotError;
-use crate::vm::VmStats;
+use crate::stats::VmStats;
 use crate::wire::{self, Cursor};
 use alpha_isa::hash::checksum;
 use alpha_isa::{Memory, Program};
@@ -32,7 +31,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5350_4C49;
 /// Current snapshot format version. Version 6 seals with
 /// `alpha_isa::hash::checksum` (and its program digest uses it); the
 /// payload layout is version 5's, which serializes every [`VmStats`]
-/// counter in declaration order. Versions 1–5 are refused with
+/// counter in counter-table order. Versions 1–5 are refused with
 /// [`SnapshotError::BadVersion`], as are future versions.
 pub const SNAPSHOT_VERSION: u32 = 6;
 
@@ -221,158 +220,23 @@ fn take_categories(c: &mut Cursor<'_>) -> Result<CategoryCounts, SnapshotError> 
     Ok(out)
 }
 
-/// Serializes a [`VmStats`]: every counter in declaration order, then the
-/// engine block and the category tables. The destructuring is exhaustive,
-/// so a counter added to `VmStats` or `EngineStats` without wire support
-/// fails to compile here.
+/// Serializes a [`VmStats`]: every scalar counter in counter-table order
+/// (`VmStats`'s, then the engine's), then the three category tables.
 pub(crate) fn put_stats(p: &mut Vec<u8>, s: &VmStats) {
-    let VmStats {
-        interpreted,
-        fragments,
-        translated_src_insts,
-        emitted_insts,
-        static_copies,
-        strands,
-        terminations,
-        translated_code_bytes,
-        translation_overhead,
-        interpretation_overhead,
-        cache_flushes,
-        fragments_verified,
-        verify_nanos,
-        verify_rejected,
-        evictions,
-        smc_invalidations,
-        demotions,
-        blacklisted,
-        fuel_preemptions,
-        unlinked_sites,
-        warmup_interpreted,
-        translate_stall_nanos,
-        translate_wall_nanos,
-        warm_hits,
-        warm_misses,
-        warm_stores,
-        store_quarantined,
-        store_load_rejects,
-        regions_formed,
-        seam_pairs_eliminated,
-        regions_verified,
-        engine,
-        static_categories,
-        oracle_categories,
-    } = s;
-    let EngineStats {
-        executed,
-        chain_executed,
-        copies_executed,
-        v_insts,
-        categories,
-        dispatches,
-        ras_hits,
-        ras_misses,
-        fragment_entries,
-        region_entries,
-    } = engine;
-    for &v in [
-        interpreted,
-        fragments,
-        translated_src_insts,
-        emitted_insts,
-        static_copies,
-        strands,
-        terminations,
-        translated_code_bytes,
-        translation_overhead,
-        interpretation_overhead,
-        cache_flushes,
-        fragments_verified,
-        verify_nanos,
-        verify_rejected,
-        evictions,
-        smc_invalidations,
-        demotions,
-        blacklisted,
-        fuel_preemptions,
-        unlinked_sites,
-        warmup_interpreted,
-        translate_stall_nanos,
-        translate_wall_nanos,
-        warm_hits,
-        warm_misses,
-        warm_stores,
-        store_quarantined,
-        store_load_rejects,
-        regions_formed,
-        seam_pairs_eliminated,
-        regions_verified,
-        executed,
-        chain_executed,
-        copies_executed,
-        v_insts,
-        dispatches,
-        ras_hits,
-        ras_misses,
-        fragment_entries,
-        region_entries,
-    ] {
+    for (_, _, v) in s.counters() {
         wire::put_u64(p, v);
     }
-    put_categories(p, categories);
-    put_categories(p, static_categories);
-    put_categories(p, oracle_categories);
+    put_categories(p, &s.engine.categories);
+    put_categories(p, &s.static_categories);
+    put_categories(p, &s.oracle_categories);
 }
 
-/// Deserializes a [`VmStats`] written by [`put_stats`]. Struct-literal
-/// fields evaluate in the order written, which is the wire order.
+/// Deserializes a [`VmStats`] written by [`put_stats`].
 pub(crate) fn take_stats(c: &mut Cursor<'_>) -> Result<VmStats, SnapshotError> {
-    let mut s = VmStats {
-        interpreted: c.take_u64()?,
-        fragments: c.take_u64()?,
-        translated_src_insts: c.take_u64()?,
-        emitted_insts: c.take_u64()?,
-        static_copies: c.take_u64()?,
-        strands: c.take_u64()?,
-        terminations: c.take_u64()?,
-        translated_code_bytes: c.take_u64()?,
-        translation_overhead: c.take_u64()?,
-        interpretation_overhead: c.take_u64()?,
-        cache_flushes: c.take_u64()?,
-        fragments_verified: c.take_u64()?,
-        verify_nanos: c.take_u64()?,
-        verify_rejected: c.take_u64()?,
-        evictions: c.take_u64()?,
-        smc_invalidations: c.take_u64()?,
-        demotions: c.take_u64()?,
-        blacklisted: c.take_u64()?,
-        fuel_preemptions: c.take_u64()?,
-        unlinked_sites: c.take_u64()?,
-        warmup_interpreted: c.take_u64()?,
-        translate_stall_nanos: c.take_u64()?,
-        translate_wall_nanos: c.take_u64()?,
-        warm_hits: c.take_u64()?,
-        warm_misses: c.take_u64()?,
-        warm_stores: c.take_u64()?,
-        store_quarantined: c.take_u64()?,
-        store_load_rejects: c.take_u64()?,
-        regions_formed: c.take_u64()?,
-        seam_pairs_eliminated: c.take_u64()?,
-        regions_verified: c.take_u64()?,
-        engine: EngineStats {
-            executed: c.take_u64()?,
-            chain_executed: c.take_u64()?,
-            copies_executed: c.take_u64()?,
-            v_insts: c.take_u64()?,
-            categories: CategoryCounts::default(),
-            dispatches: c.take_u64()?,
-            ras_hits: c.take_u64()?,
-            ras_misses: c.take_u64()?,
-            fragment_entries: c.take_u64()?,
-            region_entries: c.take_u64()?,
-        },
-        static_categories: CategoryCounts::default(),
-        oracle_categories: CategoryCounts::default(),
-    };
+    let mut s = VmStats::default();
+    for (_, _, v) in s.counters_mut() {
+        *v = c.take_u64()?;
+    }
     s.engine.categories = take_categories(c)?;
     s.static_categories = take_categories(c)?;
     s.oracle_categories = take_categories(c)?;
@@ -382,61 +246,7 @@ pub(crate) fn take_stats(c: &mut Cursor<'_>) -> Result<VmStats, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every counter set, each to a distinct non-zero value. The literal
-    /// is exhaustive (no `..Default::default()`): a counter added later
-    /// must be listed here, and then fails the round-trip test unless the
-    /// wire format carries it.
-    fn distinct_stats() -> VmStats {
-        let cats = |base: u64| CategoryCounts(std::array::from_fn(|i| base + i as u64));
-        VmStats {
-            interpreted: 1,
-            fragments: 2,
-            translated_src_insts: 3,
-            emitted_insts: 4,
-            static_copies: 5,
-            strands: 6,
-            terminations: 7,
-            translated_code_bytes: 8,
-            translation_overhead: 9,
-            interpretation_overhead: 10,
-            cache_flushes: 11,
-            fragments_verified: 12,
-            verify_nanos: 13,
-            verify_rejected: 14,
-            evictions: 15,
-            smc_invalidations: 16,
-            demotions: 17,
-            blacklisted: 18,
-            fuel_preemptions: 19,
-            unlinked_sites: 20,
-            warmup_interpreted: 21,
-            translate_stall_nanos: 22,
-            translate_wall_nanos: 23,
-            warm_hits: 24,
-            warm_misses: 25,
-            warm_stores: 26,
-            store_quarantined: 27,
-            store_load_rejects: 28,
-            regions_formed: 29,
-            seam_pairs_eliminated: 30,
-            regions_verified: 31,
-            engine: EngineStats {
-                executed: 32,
-                chain_executed: 33,
-                copies_executed: 34,
-                v_insts: 35,
-                categories: cats(100),
-                dispatches: 36,
-                ras_hits: 37,
-                ras_misses: 38,
-                fragment_entries: 39,
-                region_entries: 40,
-            },
-            static_categories: cats(200),
-            oracle_categories: cats(300),
-        }
-    }
+    use crate::stats::distinct_stats;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -459,6 +269,18 @@ mod tests {
         let snap = sample();
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(back.stats, distinct_stats());
+    }
+
+    /// The stats block of a version-6 snapshot, pinned: reordering the
+    /// counter table (or the category tables) changes the wire and must
+    /// come with a `SNAPSHOT_VERSION` bump and a new pin.
+    #[test]
+    fn stats_block_encoding_is_pinned() {
+        let mut p = Vec::new();
+        put_stats(&mut p, &distinct_stats());
+        assert_eq!(SNAPSHOT_VERSION, 6);
+        assert_eq!(p.len(), 512);
+        assert_eq!(checksum(&p), 0xcd12_ed8e_7634_1082);
     }
 
     #[test]

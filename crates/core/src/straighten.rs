@@ -12,12 +12,14 @@
 //! instruction count) and 6 (straightening/RAS IPC) are measured on this
 //! system.
 
-use crate::fragment::{DISPATCH_COST_INSTS, DISPATCH_IADDR};
+use crate::fragment::{emit_dispatch, DISPATCH_COST_INSTS, DISPATCH_IADDR};
 use crate::profile::{interp_step, Candidates, InterpEvent, ProfileConfig};
 use crate::superblock::{CollectedFlow, SbEnd, Superblock};
 use crate::translate::ChainPolicy;
 use crate::vm::VmExit;
-use alpha_isa::{step, BranchOp, Control, CpuState, IdMap, Inst, JumpKind, Memory, Program, Reg};
+use alpha_isa::{
+    step, AlignPolicy, BranchOp, Control, CpuState, IdMap, Inst, JumpKind, Memory, Program, Reg,
+};
 use ildp_uarch::{DynInst, InstClass};
 
 /// Scratch register names used by the chaining code in trace records
@@ -562,32 +564,9 @@ impl<'p> StraightenedVm<'p> {
         self.stats.dispatches += 1;
         let target = self.by_vstart.get(&vtarget).copied();
         let ti = target.map(|t| self.fragments[t].istart);
-        let hash = vtarget.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        let probe = 0xE000_0000u64 + (hash & 0xfff) * 16;
-        let n = DISPATCH_COST_INSTS;
-        for k in 0..n {
-            let pc = DISPATCH_IADDR + (k as u64) * 4;
-            let mut d = DynInst::alu(pc, 4);
-            d.vcount = 0;
-            let scratch = 200 + (k % 4) as u8;
-            d.dst = Some(scratch);
-            if k > 0 {
-                d.srcs[0] = Some(200 + ((k - 1) % 4) as u8);
-            }
-            if k == 2 || k == 3 {
-                d.class = InstClass::Load;
-                d.mem_addr = Some(probe + (k as u64 - 2) * 8);
-            }
-            if k == n - 1 {
-                d.class = InstClass::IndirectJump;
-                d.dst = None;
-                d.next_pc = ti.unwrap_or(DISPATCH_IADDR);
-                d.taken = true;
-            }
-            self.stats.executed += 1;
-            self.stats.chain_executed += 1;
-            sink.retire(&d);
-        }
+        self.stats.executed += DISPATCH_COST_INSTS as u64;
+        self.stats.chain_executed += DISPATCH_COST_INSTS as u64;
+        emit_dispatch(vtarget, ti, sink);
         target
     }
 
@@ -628,7 +607,7 @@ impl<'p> StraightenedVm<'p> {
                     // Non-control Alpha instruction: native semantics.
                     let saved_pc = self.cpu.pc;
                     self.cpu.pc = 0x100; // PC-independent by construction
-                    match step(&mut self.cpu, &mut self.mem, a, self.profile.align) {
+                    match step(&mut self.cpu, &mut self.mem, a, AlignPolicy::Enforce) {
                         Ok(out) => {
                             if let Some(b) = out.output {
                                 self.output.push(b);
@@ -905,7 +884,7 @@ enum ExecExit {
 mod tests {
     use super::*;
     use crate::engine::NullSink;
-    use alpha_isa::{run_to_halt, AlignPolicy, Assembler};
+    use alpha_isa::{run_to_halt, Assembler};
 
     fn call_loop_program() -> Program {
         // A loop that calls a tiny function indirectly and returns —

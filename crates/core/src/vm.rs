@@ -9,7 +9,6 @@
 //! performance metric is V-ISA instructions per cycle over that trace.
 
 use crate::artifact::{artifact_key, ArtifactKey, FragmentArtifact, FragmentStore, StoreLookup};
-use crate::classify::CategoryCounts;
 use crate::cost::CostModel;
 use crate::engine::{Engine, EngineConfig, FragExit, TraceSink};
 use crate::error::{SnapshotError, VmError};
@@ -17,8 +16,8 @@ use crate::fragment::{FragmentId, TranslationCache};
 use crate::profile::{
     collect_superblock_with_output, interp_step, Candidates, InterpEvent, ProfileConfig,
 };
-use crate::replay::ReplayEvent;
 use crate::snapshot::{program_digest, Snapshot};
+use crate::stats::VmStats;
 use crate::translate::{ChainPolicy, TranslatedCode, Translator};
 use alpha_isa::{CpuState, DecodeCache, IdMap, IdSet, Memory, Program, Trap};
 use ildp_uarch::{DynInst, InstClass};
@@ -80,7 +79,7 @@ pub enum OnViolation {
 }
 
 /// VM configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct VmConfig {
     /// Translator settings (ISA form, chaining policy, accumulators).
     pub translator: Translator,
@@ -101,11 +100,6 @@ pub struct VmConfig {
     /// clock-evicts cold fragments ([`VmStats::evictions`]). `None` keeps
     /// the unbounded cache the paper assumes.
     pub cache_budget: Option<u64>,
-    /// Degradation-ladder depth: how many demotions a region takes before
-    /// it is blacklisted to interpret-only. Level 0 translates with the
-    /// configured translator, levels ≥ 1 without the optional
-    /// optimizations; `max_demotions` of 0 means interpret everything.
-    pub max_demotions: u8,
     /// Optional re-verification of warm-start artifacts before install:
     /// when set, every fragment taken from the shared [`FragmentStore`]
     /// is rehydrated and run through this validator first (the
@@ -115,32 +109,18 @@ pub struct VmConfig {
     /// to translating fresh — the policy for stores whose provenance is
     /// not trusted, e.g. loaded from disk.
     pub store_validator: Option<InstallValidator>,
-    /// Source-instruction budget for a re-formed region: the promotion
-    /// walk ([`EngineConfig::region_trigger`]) stops collecting
-    /// constituent superblocks once the merged region would exceed this
-    /// many V-ISA instructions. The first block is always taken, so a
-    /// budget below one superblock degenerates to no re-formation (a
-    /// single-block region adds nothing and is never installed).
-    pub region_budget: u32,
 }
 
-impl Default for VmConfig {
-    fn default() -> VmConfig {
-        VmConfig {
-            translator: Translator::default(),
-            profile: ProfileConfig::default(),
-            engine: EngineConfig::default(),
-            cost: CostModel::default(),
-            flush: None,
-            validator: None,
-            on_violation: OnViolation::default(),
-            cache_budget: None,
-            max_demotions: 2,
-            store_validator: None,
-            region_budget: 256,
-        }
-    }
-}
+/// Degradation-ladder depth: how many demotions a region takes before it
+/// is blacklisted to interpret-only. Level 0 translates with the
+/// configured translator, level 1 without the optional optimizations.
+const MAX_DEMOTIONS: u8 = 2;
+
+/// Source-instruction budget for a re-formed region: the promotion walk
+/// ([`EngineConfig::region_trigger`]) stops collecting constituent
+/// superblocks once the merged region would exceed this many V-ISA
+/// instructions. The first block is always taken.
+pub const REGION_BUDGET: usize = 256;
 
 /// Why a VM run ended.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -165,105 +145,6 @@ pub enum VmExit {
         /// What failed.
         error: VmError,
     },
-}
-
-/// Aggregate statistics of a VM run (feeding Table 2, Figure 7 and the
-/// §4.2 overhead numbers).
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct VmStats {
-    /// Instructions interpreted (cold code).
-    pub interpreted: u64,
-    /// Fragments translated.
-    pub fragments: u64,
-    /// Source V-ISA instructions translated (static).
-    pub translated_src_insts: u64,
-    /// I-ISA instructions emitted (static).
-    pub emitted_insts: u64,
-    /// Static copy instructions emitted.
-    pub static_copies: u64,
-    /// Strands formed / prematurely terminated.
-    pub strands: u64,
-    /// Premature strand terminations.
-    pub terminations: u64,
-    /// Static translated code bytes installed in the cache.
-    pub translated_code_bytes: u64,
-    /// Modelled DBT overhead in Alpha instructions (§4.2).
-    pub translation_overhead: u64,
-    /// Modelled interpretation overhead in Alpha instructions.
-    pub interpretation_overhead: u64,
-    /// Translation-cache flushes performed (phase-change policy).
-    pub cache_flushes: u64,
-    /// Fragments checked by the install validator.
-    pub fragments_verified: u64,
-    /// Wall time spent in the install validator, in nanoseconds.
-    pub verify_nanos: u64,
-    /// Translations refused under [`OnViolation::Reject`].
-    pub verify_rejected: u64,
-    /// Fragments clock-evicted under the cache budget.
-    pub evictions: u64,
-    /// Fragments invalidated by guest stores into their source pages.
-    pub smc_invalidations: u64,
-    /// Degradation-ladder transitions (each region counts once per level
-    /// it descends).
-    pub demotions: u64,
-    /// Regions that reached the bottom of the ladder (interpret-only).
-    pub blacklisted: u64,
-    /// Engine dispatches preempted by the watchdog fuel budget.
-    pub fuel_preemptions: u64,
-    /// Direct-link sites un-patched back to slow-path exits by precise
-    /// invalidation.
-    pub unlinked_sites: u64,
-    /// Instructions interpreted before the first fragment install — the
-    /// unavoidable cold-start share of `interpreted`, excluded from
-    /// [`VmStats::interp_fallback_ratio`] so the ratio reflects
-    /// steady-state fallback only.
-    pub warmup_interpreted: u64,
-    /// Wall nanoseconds the guest was stalled on translation +
-    /// verification. Translation runs synchronously on the VM thread, so
-    /// this counts exactly the work [`VmStats::translate_wall_nanos`]
-    /// counts; both are kept because benchmark reports read each.
-    pub translate_stall_nanos: u64,
-    /// Wall nanoseconds of translation + verification work done for this
-    /// VM (superblocks and re-formed regions). Equal to
-    /// [`VmStats::translate_stall_nanos`].
-    pub translate_wall_nanos: u64,
-    /// Warm-start installs: fragments taken pre-translated (and
-    /// pre-verified) from the shared [`FragmentStore`].
-    pub warm_hits: u64,
-    /// Shared-store lookups that missed and fell back to translation.
-    pub warm_misses: u64,
-    /// Fragments this VM published to the shared store.
-    pub warm_stores: u64,
-    /// Store entries this VM saw rejected: artifacts quarantined at
-    /// lookup (broken seal, version skew, key mismatch) plus disk-loaded
-    /// artifacts refused by [`VmConfig::store_validator`]. Each one
-    /// degraded gracefully to the normal translate/verify path.
-    pub store_quarantined: u64,
-    /// Entries the attached store rejected while being opened from disk
-    /// (unreadable framing — see
-    /// [`StoreStats::load_rejects`](crate::StoreStats::load_rejects)),
-    /// snapshotted at [`Vm::attach_store`] time.
-    pub store_load_rejects: u64,
-    /// Hot fragment chains re-formed into merged regions
-    /// ([`EngineConfig::region_trigger`]).
-    pub regions_formed: u64,
-    /// Cross-fragment seams erased by region re-formation: one per
-    /// constituent boundary folded into a merged region, each of which
-    /// previously cost a fragment transfer (entry bookkeeping plus any
-    /// redundant copy-out/copy-in pair) every iteration.
-    pub seam_pairs_eliminated: u64,
-    /// Verifier passes spent on re-formed regions (a subset of
-    /// `fragments_verified`). Regions are profile-dependent and never
-    /// published to the shared store, so a warm-started VM still runs
-    /// these locally; accounting them separately lets warm-start audits
-    /// check that nothing *store-eligible* was re-verified.
-    pub regions_verified: u64,
-    /// Dynamic engine statistics.
-    pub engine: crate::engine::EngineStats,
-    /// Static usage-category counts across all translations.
-    pub static_categories: CategoryCounts,
-    /// Static oracle-boundary category counts (paper's [28] comparison).
-    pub oracle_categories: CategoryCounts,
 }
 
 impl VmStats {
@@ -339,6 +220,21 @@ impl VmStats {
     }
 }
 
+/// One region re-formation decision ([`EngineConfig::region_trigger`]):
+/// a VM output, derived deterministically from the program and its
+/// stimuli, so a re-run makes the same decisions at the same counts.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RegionDecision {
+    /// Entry V-address of the region head.
+    pub head: u64,
+    /// Retired-instruction count at the decision.
+    pub at_v_insts: u64,
+    /// `true` when the merged region was installed; `false` when it was
+    /// dropped (unprofitable, or refused by the verifier) and the head
+    /// banned from re-promotion.
+    pub promoted: bool,
+}
+
 /// The co-designed VM. See the module documentation.
 ///
 /// # Examples
@@ -393,9 +289,8 @@ pub struct Vm<'p> {
     base_code_bytes: u64,
     base_evictions: u64,
     base_unlinked: u64,
-    /// Count-anchored region promote/drop events this run produced, for
-    /// the record side of record/replay.
-    region_events: Vec<ReplayEvent>,
+    /// Region promote/drop decisions this run made, in order.
+    region_events: Vec<RegionDecision>,
     /// The shared warm-start fragment store, when attached.
     store: Option<Arc<FragmentStore>>,
     /// Store keys of fragments this VM installed, so SMC invalidation and
@@ -491,15 +386,9 @@ impl<'p> Vm<'p> {
         let mut smc_counts: Vec<(u64, u32)> =
             self.smc_counts.iter().map(|(&a, &c)| (a, c)).collect();
         smc_counts.sort_unstable();
-        // The captured stats are brought current exactly as
-        // `finish_overheads` would, so a snapshot taken between `run`
-        // calls is self-consistent even if the caller poked at the cache.
-        let mut stats = self.stats.clone();
-        stats.interpretation_overhead = stats.interpreted * self.config.cost.interp_cost_per_inst();
-        stats.translated_code_bytes = self.base_code_bytes + self.cache.total_code_bytes();
-        stats.evictions = self.base_evictions + self.cache.evictions();
-        stats.unlinked_sites = self.base_unlinked + self.cache.unpatches();
-        stats.engine = self.engine.stats.clone();
+        // Brought current, so a snapshot taken between `run` calls is
+        // self-consistent even if the caller poked at the cache.
+        let stats = self.current_stats();
         Snapshot {
             program_digest: program_digest(self.program),
             v_insts: self.v_instructions(),
@@ -633,12 +522,12 @@ impl<'p> Vm<'p> {
     /// tier (or, at the bottom, stay interpreted).
     fn demote(&mut self, vstart: u64) {
         let level = self.demotion.entry(vstart).or_insert(0);
-        if *level >= self.config.max_demotions {
+        if *level >= MAX_DEMOTIONS {
             return;
         }
         *level += 1;
         self.stats.demotions += 1;
-        if *level >= self.config.max_demotions {
+        if *level >= MAX_DEMOTIONS {
             self.stats.blacklisted += 1;
         }
         self.candidates.reset(vstart);
@@ -699,7 +588,7 @@ impl<'p> Vm<'p> {
             return true;
         }
         let level = self.demotion.get(&vaddr).copied().unwrap_or(0);
-        if level >= self.config.max_demotions {
+        if level >= MAX_DEMOTIONS {
             // Bottom of the ladder: this region stays interpreted.
             return false;
         }
@@ -737,7 +626,8 @@ impl<'p> Vm<'p> {
                             if self.reverify_artifact(&art, &sb, &translator) {
                                 self.stats.warm_hits += 1;
                                 self.region_src.insert(vaddr, sb);
-                                self.install_artifact(*art, k);
+                                self.store_keys.insert(art.vstart, k);
+                                self.install_fragment(*art);
                                 return true;
                             }
                             store.remove(&k);
@@ -794,50 +684,56 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Installs a translation produced by this VM: merges its static
-    /// statistics, publishes it
-    /// to the shared store when one is attached, installs it in the
-    /// cache, and enforces the cache budget. Returns the installed
-    /// fragment's id (the just-installed fragment is protected from the
-    /// budget's clock eviction, so the id is live).
+    /// Installs a translation produced by this VM: charges its modelled
+    /// translation overhead, publishes it to the shared store when one is
+    /// attached, and installs it ([`Vm::install_fragment`]).
     fn install_translation(
         &mut self,
         code: TranslatedCode,
         translator: Translator,
         key: Option<ArtifactKey>,
     ) -> FragmentId {
-        self.maybe_flush();
-        self.stats.fragments += 1;
-        self.stats.translated_src_insts += code.src_inst_count as u64;
-        self.stats.emitted_insts += code.insts.len() as u64;
-        self.stats.static_copies += code.stats.copies as u64;
-        self.stats.strands += code.stats.strands as u64;
-        self.stats.terminations += code.stats.terminations as u64;
-        self.stats.static_categories.merge(&code.stats.categories);
-        self.stats
-            .oracle_categories
-            .merge(&code.stats.oracle_categories);
         self.stats.translation_overhead += self
             .config
             .cost
             .fragment_cost(code.src_inst_count as u64, code.insts.len() as u64);
+        let artifact = FragmentArtifact::from_translation(code, translator.form);
         if let (Some(store), Some(key)) = (self.store.clone(), key) {
-            let artifact = FragmentArtifact::from_translation(&code, translator.form);
             if store.put(key, &artifact) {
                 self.stats.warm_stores += 1;
             }
-            self.store_keys.insert(code.vstart, key);
+            self.store_keys.insert(artifact.vstart, key);
         }
+        self.install_fragment(artifact)
+    }
+
+    /// Installs a fragment — a fresh translation or a pre-translated,
+    /// pre-verified one taken from the shared store — in the cache:
+    /// merges its static code statistics (a warm start charges no
+    /// `translation_overhead`, but Table 2 ratios stay meaningful), closes
+    /// the warm-up window, and enforces the cache budget. Returns the
+    /// installed fragment's id (the just-installed fragment is protected
+    /// from the budget's clock eviction, so the id is live).
+    fn install_fragment(&mut self, a: FragmentArtifact) -> FragmentId {
+        self.maybe_flush();
+        self.stats.fragments += 1;
+        self.stats.translated_src_insts += a.src_inst_count as u64;
+        self.stats.emitted_insts += a.insts.len() as u64;
+        self.stats.static_copies += a.copies as u64;
+        self.stats.strands += a.strands as u64;
+        self.stats.terminations += a.terminations as u64;
+        self.stats.static_categories.merge(&a.categories);
+        self.stats.oracle_categories.merge(&a.oracle_categories);
         if self.stats.warmup_interpreted == 0 {
             self.stats.warmup_interpreted = self.stats.interpreted;
         }
         let id = self.cache.install(
-            code.vstart,
-            translator.form,
-            code.insts,
-            code.meta,
-            code.src_inst_count,
-            code.recovery,
+            a.vstart,
+            a.form,
+            a.insts,
+            a.meta,
+            a.src_inst_count,
+            a.recovery,
         );
         self.enforce_cache_budget(id);
         id
@@ -862,38 +758,6 @@ impl<'p> Vm<'p> {
             translator,
         })
         .is_ok()
-    }
-
-    /// Installs a pre-translated, pre-verified fragment taken from the
-    /// shared store. No translation happened here, so no
-    /// `translation_overhead` is charged — that is the point of the warm
-    /// start — but the static code statistics still merge so Table 2
-    /// ratios stay meaningful.
-    fn install_artifact(&mut self, artifact: FragmentArtifact, key: ArtifactKey) {
-        self.maybe_flush();
-        self.stats.fragments += 1;
-        self.stats.translated_src_insts += artifact.src_inst_count as u64;
-        self.stats.emitted_insts += artifact.insts.len() as u64;
-        self.stats.static_copies += artifact.copies as u64;
-        self.stats.strands += artifact.strands as u64;
-        self.stats.terminations += artifact.terminations as u64;
-        self.stats.static_categories.merge(&artifact.categories);
-        self.stats
-            .oracle_categories
-            .merge(&artifact.oracle_categories);
-        self.store_keys.insert(artifact.vstart, key);
-        if self.stats.warmup_interpreted == 0 {
-            self.stats.warmup_interpreted = self.stats.interpreted;
-        }
-        let id = self.cache.install(
-            artifact.vstart,
-            artifact.form,
-            artifact.insts,
-            artifact.meta,
-            artifact.src_inst_count,
-            artifact.recovery,
-        );
-        self.enforce_cache_budget(id);
     }
 
     fn enforce_cache_budget(&mut self, just_installed: FragmentId) {
@@ -923,16 +787,15 @@ impl<'p> Vm<'p> {
     /// so a rejected merge is attempted once.
     ///
     /// Promotion is derived purely from deterministic state (the cache,
-    /// the retained superblocks, the demotion ladder), so a replay
-    /// re-derives it at the same anchor; the recorded
-    /// [`ReplayEvent::RegionPromote`] / [`ReplayEvent::RegionDrop`] pair
-    /// is the witness the replay harness compares.
+    /// the retained superblocks, the demotion ladder), so a re-run makes
+    /// the same [`RegionDecision`]s at the same counts; the replay
+    /// harness compares them.
     fn promote_region(&mut self, head: u64) {
         if self.region_banned.contains(&head) || self.demotion.get(&head).copied().unwrap_or(0) != 0
         {
             return;
         }
-        let budget = self.config.region_budget as usize;
+        let budget = REGION_BUDGET;
         let mut blocks: Vec<crate::Superblock> = Vec::new();
         let mut members: Vec<u64> = Vec::new();
         let mut total = 0usize;
@@ -1046,9 +909,10 @@ impl<'p> Vm<'p> {
         };
         if !profitable {
             self.region_banned.insert(head);
-            self.region_events.push(ReplayEvent::RegionDrop {
-                fragment_vstart: head,
+            self.region_events.push(RegionDecision {
+                head,
                 at_v_insts,
+                promoted: false,
             });
             return;
         }
@@ -1078,9 +942,10 @@ impl<'p> Vm<'p> {
                     // constituent fragments running untouched.
                     self.stats.verify_rejected += 1;
                     self.region_banned.insert(head);
-                    self.region_events.push(ReplayEvent::RegionDrop {
-                        fragment_vstart: head,
+                    self.region_events.push(RegionDecision {
+                        head,
                         at_v_insts,
+                        promoted: false,
                     });
                     return;
                 }
@@ -1104,22 +969,16 @@ impl<'p> Vm<'p> {
         self.cache.mark_region(id);
         self.stats.regions_formed += 1;
         self.stats.seam_pairs_eliminated += blocks.len() as u64 - 1;
-        self.region_events.push(ReplayEvent::RegionPromote {
-            fragment_vstart: head,
+        self.region_events.push(RegionDecision {
+            head,
             at_v_insts,
+            promoted: true,
         });
     }
 
-    /// The count-anchored [`ReplayEvent::RegionPromote`] /
-    /// [`ReplayEvent::RegionDrop`] events recorded so far (record side of
-    /// record/replay).
-    pub fn region_events(&self) -> &[ReplayEvent] {
+    /// The region decisions made so far, in order.
+    pub fn region_events(&self) -> &[RegionDecision] {
         &self.region_events
-    }
-
-    /// Drains the recorded region events (see [`Vm::region_events`]).
-    pub fn take_region_events(&mut self) -> Vec<ReplayEvent> {
-        std::mem::take(&mut self.region_events)
     }
 
     /// Attaches a shared warm-start fragment store — the one way VMs share
@@ -1286,15 +1145,23 @@ impl<'p> Vm<'p> {
     }
 
     fn finish_overheads(&mut self) {
-        self.stats.interpretation_overhead =
-            self.stats.interpreted * self.config.cost.interp_cost_per_inst();
+        self.stats = self.current_stats();
+    }
+
+    /// The accumulated statistics with the derived counters brought
+    /// current: the interpretation overhead, the cache-derived totals and
+    /// the engine's block.
+    fn current_stats(&self) -> VmStats {
+        let mut stats = self.stats.clone();
+        stats.interpretation_overhead = stats.interpreted * self.config.cost.interp_cost_per_inst();
         // The `base_*` offsets are nonzero only on a snapshot-restored
         // VM, whose cache restarted from cold: they carry the totals
         // accumulated before the restore.
-        self.stats.translated_code_bytes = self.base_code_bytes + self.cache.total_code_bytes();
-        self.stats.evictions = self.base_evictions + self.cache.evictions();
-        self.stats.unlinked_sites = self.base_unlinked + self.cache.unpatches();
-        self.stats.engine = self.engine.stats.clone();
+        stats.translated_code_bytes = self.base_code_bytes + self.cache.total_code_bytes();
+        stats.evictions = self.base_evictions + self.cache.evictions();
+        stats.unlinked_sites = self.base_unlinked + self.cache.unpatches();
+        stats.engine = self.engine.stats.clone();
+        stats
     }
 }
 

@@ -51,7 +51,7 @@ fn tiny_superblock(base: u64) -> Superblock {
 #[test]
 fn store_publish_lookup_remove_is_atomic() {
     let code = Translator::default().translate(&tiny_superblock(0x2_0000));
-    let artifact = FragmentArtifact::from_translation(&code, Translator::default().form);
+    let artifact = FragmentArtifact::from_translation(code, Translator::default().form);
     loom::model(move || {
         let store = Arc::new(FragmentStore::new());
         let key = ArtifactKey {

@@ -46,7 +46,7 @@ fn figure2_superblock() -> Superblock {
         .unwrap();
     while cpu.pc != loop_top {
         let inst = program.fetch(cpu.pc).unwrap();
-        alpha_isa::step(&mut cpu, &mut mem, inst, config.align).unwrap();
+        alpha_isa::step(&mut cpu, &mut mem, inst, alpha_isa::AlignPolicy::Enforce).unwrap();
     }
     collect_superblock(&mut cpu, &mut mem, &program, &config).expect("collection succeeds")
 }
